@@ -2,10 +2,9 @@
 //!
 //! Regenerates every table and figure of the vMCU paper's evaluation (§7)
 //! plus two ablations, as both human-readable tables and machine-checked
-//! *shape criteria*. Each experiment has a dedicated binary
-//! (`cargo run -p vmcu-bench --release --bin fig7_ram`, …); the
-//! `all_experiments` binary runs everything, writes `EXPERIMENTS.md` and
-//! `results/*.json`, and exits non-zero if any shape check fails.
+//! *shape criteria*. The `all_experiments` binary runs all of them,
+//! writes `EXPERIMENTS.md` and one `results/<id>.json` per experiment,
+//! and exits non-zero if any shape check fails.
 
 pub mod experiments;
 pub mod json;
@@ -58,19 +57,23 @@ const REPRODUCTION_MAP: &str = "\
 ## Reproduction map — paper claim → command
 
 Every binary below is `cargo run -p vmcu-bench --release --bin <name>`;
-every test is `cargo test --test <name>` from the repository root.
+every test is `cargo test --test <name>` from the repository root. The
+paper's tables, figures and ablations all come from one run of
+`all_experiments` (`--light` skips the four simulated-execution ones:
+Fig. 8, Table 3 and both ablations), which writes each one's result to
+`results/<id>.json`.
 
 | Paper figure / claim | Reproduced by | Command |
 |---|---|---|
-| Table 1 (platform classes) | `table1_hw` | `cargo run --release --bin table1_hw` |
-| Table 2 (module configurations) | `table2_configs` | `cargo run --release --bin table2_configs` |
-| Fig. 1 (motivating footprint gap) | `fig1_motivation` | `cargo run --release --bin fig1_motivation` |
-| Fig. 7 (single-layer RAM, OOM cases) | `fig7_ram` + smoke test | `cargo run --release --bin fig7_ram`; `cargo test --test workspace_smoke` |
-| Fig. 8 (energy/latency parity) | `fig8_energy_latency` | `cargo run --release --bin fig8_energy_latency` |
-| Fig. 9 (VWW RAM bottleneck 13.9 KB) | `fig9_vww_ram` | `cargo run --release --bin fig9_vww_ram` |
-| Fig. 10 (ImageNet RAM bottleneck 102.7 KB) | `fig10_imagenet_ram` | `cargo run --release --bin fig10_imagenet_ram` |
-| Fig. 11/12 (NAS headroom scaling) | `fig11_image_scaling`, `fig12_channel_scaling` | `cargo run --release --bin fig11_image_scaling` |
-| Table 3 (latency vs TinyEngine) | `table3_latency` | `cargo run --release --bin table3_latency` |
+| Table 1 (platform classes) | `all_experiments` → `results/table1.json` | `cargo run --release --bin all_experiments` |
+| Table 2 (module configurations) | `all_experiments` → `results/table2.json` | `cargo run --release --bin all_experiments` |
+| Fig. 1 (motivating footprint gap) | `all_experiments` → `results/fig1.json` | `cargo run --release --bin all_experiments` |
+| Fig. 7 (single-layer RAM, OOM cases) | `all_experiments` → `results/fig7.json` + smoke test | `cargo run --release --bin all_experiments`; `cargo test --test workspace_smoke` |
+| Fig. 8 (energy/latency parity) | `all_experiments` → `results/fig8.json` | `cargo run --release --bin all_experiments` |
+| Fig. 9 (VWW RAM bottleneck 13.9 KB) | `all_experiments` → `results/fig9.json` | `cargo run --release --bin all_experiments` |
+| Fig. 10 (ImageNet RAM bottleneck 102.7 KB) | `all_experiments` → `results/fig10.json` | `cargo run --release --bin all_experiments` |
+| Fig. 11/12 (NAS headroom scaling) | `all_experiments` → `results/fig11.json`, `results/fig12.json` | `cargo run --release --bin all_experiments` |
+| Table 3 (latency vs TinyEngine) | `all_experiments` → `results/table3.json` | `cargo run --release --bin all_experiments` |
 | §5.2 multi-layer case: fused chain peak RAM strictly below layer-at-a-time vMCU | `fused_pipeline` + integration suite | `cargo run --release --bin fused_pipeline`; `cargo test --test fused_pipeline` |
 | §5.2 fused execution is bit-exact vs the reference executor | differential suites | `cargo test --test fused_pipeline --test differential_random_nets` |
 | MCUNetV2-style front-stage peak reduction: patch-based execution deploys models whose input exceeds SRAM | `patched_pipeline` + integration suite | `cargo run --release --bin patched_pipeline`; `cargo test --test patched_pipeline` |
@@ -82,7 +85,7 @@ every test is `cargo test --test <name>` from the repository root.
 | §5.1 packed-SIMD MACs: vectorized GEMM ≥ 1.8× fewer cycles/MAC on DSP boards, bit-exact | `simd_kernels` + `BENCH_simd.json` | `cargo run --release --bin simd_kernels` |
 | im2col + matmul lowering bit-exact vs direct kernels across planners | differential + im2col suites | `cargo test --test differential_random_nets`; `cargo test -p vmcu-kernels im2col` |
 | Serving + SIMD regression gate (CI) | `bench_gate` vs `ci/bench_baseline.json`, `ci/bench_simd_baseline.json` | `cargo run --release --bin bench_gate -- --simd-current BENCH_simd.json --simd-baseline ci/bench_simd_baseline.json` |
-| Segment-size / IB-scheme ablations | `ablation_segment_size`, `ablation_ib_scheme` | `cargo run --release --bin ablation_segment_size` |
+| Segment-size / IB-scheme ablations | `all_experiments` → `results/ablation-segment-size.json`, `results/ablation-ib-scheme.json` | `cargo run --release --bin all_experiments` |
 | Multi-device split: a model that OOMs every single-device policy deploys across 2–8 networked MCUs, bit-exact, every cut-edge transfer priced (`docs/SPLIT.md`) | `split_pipeline` + `split_props` suites + `split_serves_the_oversized_model` bench check | `cargo test --test split_pipeline --test split_props`; `cargo run --release --bin fleet_throughput -- --light` |
 | Split execution is bit-exact vs the reference at 2/4/8-way cuts, and bit-identical across processes | differential suite + `bench_gate --identical` (CI runs the fleet bench twice) | `cargo test --test differential_random_nets`; `cargo run --release --bin bench_gate -- --identical BENCH_fleet.json BENCH_fleet_rerun.json` |
 

@@ -40,7 +40,7 @@ impl ChainPlan {
 }
 
 /// Executable distance and workspace for one layer under vMCU policy.
-fn layer_distance(layer: &LayerDesc, scheme: IbScheme) -> (i64, usize) {
+pub fn layer_distance(layer: &LayerDesc, scheme: IbScheme) -> (i64, usize) {
     match layer {
         LayerDesc::Pointwise(p) => (pointwise_exec_distance(p), 0),
         LayerDesc::Conv2d(p) => (conv2d_exec_distance(p), 0),

@@ -101,7 +101,7 @@ impl AdmissionController {
 
     /// [`with_priced_models`](Self::with_priced_models), with each model
     /// priced as a **vector of per-stage demands** — the split policy's
-    /// shape, harvested from `vmcu::Deployment::split_plan`. Non-split
+    /// shape, harvested from a `vmcu::Schedule::Split` deployment. Non-split
     /// models pass single-element vectors.
     ///
     /// # Panics

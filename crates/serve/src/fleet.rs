@@ -175,9 +175,9 @@ impl Fleet {
                     // Split deployments price as their per-stage demand
                     // vector (admission places each stage on its own
                     // device); everything else prices at its peak.
-                    let stages = match dep.split_plan() {
-                        Some(split) => split.stage_demands(),
-                        None => vec![dep.peak_demand_bytes()],
+                    let stages = match dep.schedule() {
+                        vmcu::Schedule::Split(split) => split.stage_demands(),
+                        _ => vec![dep.peak_demand_bytes()],
                     };
                     prices.push((model.name.to_owned(), stages));
                     deployments.insert(model.name.to_owned(), dep);

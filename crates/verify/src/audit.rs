@@ -12,13 +12,13 @@
 use crate::replay::{check_distance, replay_into, replay_layer, LayerSpec, PoolModel};
 use crate::schedule::{audit_schedule, canonical_frees};
 use crate::violation::{AuditReport, Violation};
-use vmcu::{Deployment, PlannerKind};
+use vmcu::{Deployment, PlannerKind, Schedule};
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::fused_chain::{chain_exec_trace, chain_workspace_bytes, ChainOp};
 use vmcu_kernels::trace::{exec_distance, ExecEvent};
 use vmcu_kernels::IbScheme;
 use vmcu_plan::fusion::chain_solver_distance;
-use vmcu_plan::{ChainPlan, FusionNode, FusionPlan, PatchPlan, SplitPlan};
+use vmcu_plan::{ChainPlan, FusionNode, FusionPlan, OrderPlan, PatchPlan, SplitPlan};
 use vmcu_sim::Device;
 
 /// The dry-run store/free trace the executor's kernel would emit for one
@@ -529,9 +529,12 @@ pub fn audit(dep: &Deployment) -> AuditReport {
     //    groups, patched tiles, split stages) enforce their budget at the
     //    artifact level instead, so the schedule pass only checks
     //    liveness for them.
-    let order: Vec<usize> = dep
-        .order_plan()
-        .map_or_else(|| (0..n).collect(), |p| p.order.clone());
+    let order: Vec<usize> = match dep.schedule() {
+        Schedule::Nodes {
+            order: Some(plan), ..
+        } => plan.order.clone(),
+        _ => (0..n).collect(),
+    };
     let frees = canonical_frees(graph, &order);
     let costs: Vec<(usize, usize)> = graph
         .layers()
@@ -594,56 +597,50 @@ pub fn audit(dep: &Deployment) -> AuditReport {
     }
 
     // 4. Artifact-specific audits.
-    if let Some(chain) = dep.chain_plan() {
-        let (v, d) = audit_chain_plan(graph, chain, scheme, device);
-        report.violations.extend(v);
-        report.distances_checked += d;
-    }
-    if matches!(kind, PlannerKind::VmcuFused(_)) {
-        if let Some(fusion) = dep.fusion_plan() {
-            let (v, nodes, d) = audit_fusion_plan(graph, fusion, scheme, device);
-            report.violations.extend(v);
-            report.nodes_checked += nodes;
-            report.distances_checked += d;
+    let (v, nodes, d) = match dep.schedule() {
+        Schedule::Nodes { order, chain } => {
+            let (mut v, d) = chain.as_ref().map_or_else(
+                || (Vec::new(), 0),
+                |chain| audit_chain_plan(graph, chain, scheme, device),
+            );
+            if let Some(order_plan) = order {
+                v.extend(audit_order_plan(order_plan, &sched.step_demand_bytes));
+            }
+            (v, 0, d)
         }
-    }
-    if let Some(patch) = dep.patch_plan() {
-        let (v, nodes, d) = audit_patch_plan(graph, patch, scheme, device);
-        report.violations.extend(v);
-        report.nodes_checked += nodes;
-        report.distances_checked += d;
-    }
-    if let Some(split) = dep.split_plan() {
-        let (v, nodes, d) = audit_split_plan(graph, split, scheme, device);
-        report.violations.extend(v);
-        report.nodes_checked += nodes;
-        report.distances_checked += d;
-    }
-    if let Some(order_plan) = dep.order_plan() {
-        if order_plan.step_demand_bytes.len() == sched.step_demand_bytes.len() {
-            for (k, (planned, derived)) in order_plan
-                .step_demand_bytes
-                .iter()
-                .zip(&sched.step_demand_bytes)
-                .enumerate()
-            {
-                if planned < derived {
-                    report.violations.push(Violation::OutOfBounds {
-                        site: format!("order plan step {k} under-prices demand"),
-                        needed: *derived,
-                        budget: *planned,
-                    });
-                }
+        Schedule::Fused(fusion) => audit_fusion_plan(graph, fusion, scheme, device),
+        Schedule::Patched(patch) => audit_patch_plan(graph, patch, scheme, device),
+        Schedule::Split(split) => audit_split_plan(graph, split, scheme, device),
+    };
+    report.violations.extend(v);
+    report.nodes_checked += nodes;
+    report.distances_checked += d;
+    report
+}
+
+/// Cross-checks a searched order's per-step and peak demand against the
+/// independently derived step demand.
+fn audit_order_plan(plan: &OrderPlan, derived_steps: &[usize]) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    if plan.step_demand_bytes.len() == derived_steps.len() {
+        for (k, (planned, derived)) in plan.step_demand_bytes.iter().zip(derived_steps).enumerate()
+        {
+            if planned < derived {
+                violations.push(Violation::OutOfBounds {
+                    site: format!("order plan step {k} under-prices demand"),
+                    needed: *derived,
+                    budget: *planned,
+                });
             }
         }
-        let peak = sched.step_demand_bytes.iter().copied().max().unwrap_or(0);
-        if order_plan.peak_bytes < peak {
-            report.violations.push(Violation::OutOfBounds {
-                site: "order plan peak under-prices demand".into(),
-                needed: peak,
-                budget: order_plan.peak_bytes,
-            });
-        }
     }
-    report
+    let peak = derived_steps.iter().copied().max().unwrap_or(0);
+    if plan.peak_bytes < peak {
+        violations.push(Violation::OutOfBounds {
+            site: "order plan peak under-prices demand".into(),
+            needed: peak,
+            budget: plan.peak_bytes,
+        });
+    }
+    violations
 }

@@ -6,64 +6,41 @@
 //! first-class API:
 //!
 //! * [`Deployment`] (built via [`Engine::deploy`]) validates device fit
-//!   **once**, memoizes every plan artifact the policy needs (the
-//!   [`MemoryPlan`] plus the policy's fusion/patch/chain plans in a
-//!   [`PlanSet`]), caches the resolved planner+executor pair, and owns
-//!   the weights that will be staged into Flash. Deployments are cheap
-//!   to clone (`Arc`-backed) and `Send + Sync`, so a fleet shares one
-//!   per model across workers.
+//!   **once**, memoizes the [`MemoryPlan`] and the policy's
+//!   [`Schedule`], caches the resolved planner, and owns the weights
+//!   that will be staged into Flash. Deployments are cheap to clone
+//!   (`Arc`-backed) and `Send + Sync`, so a fleet shares one per model
+//!   across workers.
 //! * [`Session`] ([`Deployment::session`]) boots a machine, stages the
 //!   firmware image (weights into Flash) once, and then serves
 //!   [`Session::infer`] calls with **zero planning work** — checkable
 //!   via [`vmcu_plan::telemetry`]. Between inferences only the volatile
 //!   state (RAM, counters) resets; the flash image stays resident, and
-//!   a leaked-state bug (an executor programming Flash mid-inference)
+//!   a leaked-state bug (a kernel programming Flash mid-inference)
 //!   surfaces as a typed [`EngineError::StateLeak`], never as silent
 //!   corruption.
 //!
 //! [`Engine::deploy`]: crate::engine::Engine::deploy
-//! [`MemoryPlan`]: vmcu_plan::MemoryPlan
 
 use crate::engine::{InferenceReport, PlannerKind};
 use crate::error::EngineError;
-use crate::exec::{stage_graph, ExecCtx, Executor, StagedLayer};
+use crate::exec::{self, stage_graph, Kernels, Run, Schedule, StagedLayer};
 use std::sync::Arc;
 use std::time::Instant;
 use vmcu_graph::{Graph, LayerWeights};
 use vmcu_plan::planner::MemoryPlanner;
-use vmcu_plan::{ChainPlan, FusionPlan, MemoryPlan, OrderPlan, PatchPlan, SplitPlan};
+use vmcu_plan::{ChainPlan, MemoryPlan};
 use vmcu_sim::{Device, Machine};
 use vmcu_tensor::Tensor;
-
-/// Every plan artifact a policy needs at inference time, memoized at
-/// deploy time. The [`MemoryPlan`] is always present (fit validation and
-/// per-node report accounting); the policy-specific plans are `Some`
-/// only for the executor that consumes them.
-#[derive(Debug, Clone)]
-pub struct PlanSet {
-    /// One plan entry per execution node — the accounting source for
-    /// every [`LayerReport`](crate::engine::LayerReport).
-    pub memory: MemoryPlan,
-    /// The fusion plan (fused policy).
-    pub fusion: Option<FusionPlan>,
-    /// The patch plan (patched policy).
-    pub patch: Option<PatchPlan>,
-    /// The §4 whole-network chain plan (vMCU policy, chain graphs only).
-    pub chain: Option<ChainPlan>,
-    /// The multi-device partition (split policy, chain graphs only).
-    pub split: Option<SplitPlan>,
-    /// The searched execution order (reorder policy).
-    pub order: Option<OrderPlan>,
-}
 
 struct DeployInner {
     device: Device,
     kind: PlannerKind,
     planner: Box<dyn MemoryPlanner>,
-    executor: Box<dyn Executor>,
     graph: Graph,
     weights: Vec<LayerWeights>,
-    plans: PlanSet,
+    plan: MemoryPlan,
+    schedule: Schedule,
     planning_ms: f64,
     image_bytes: usize,
 }
@@ -74,14 +51,14 @@ impl std::fmt::Debug for DeployInner {
             .field("device", &self.device.name)
             .field("kind", &self.kind)
             .field("graph", &self.graph.name)
-            .field("nodes", &self.plans.memory.layers.len())
+            .field("nodes", &self.plan.layers.len())
             .field("planning_ms", &self.planning_ms)
             .finish_non_exhaustive()
     }
 }
 
 /// A model deployed to a device under one policy: fit validated once,
-/// plans memoized, planner+executor resolved, weights owned. Cheap to
+/// plan and schedule memoized, planner resolved, weights owned. Cheap to
 /// clone and share across threads; create per-device execution state
 /// with [`Deployment::session`].
 #[derive(Debug, Clone)]
@@ -99,7 +76,7 @@ impl Deployment {
         weights: &[LayerWeights],
     ) -> Result<Self, EngineError> {
         let dep = Self::new_unchecked(device, kind, graph, weights)?;
-        let plan = &dep.inner.plans.memory;
+        let plan = &dep.inner.plan;
         if !plan.deployable() {
             let worst = &plan.layers[plan.bottleneck()];
             return Err(EngineError::DoesNotFit {
@@ -111,20 +88,24 @@ impl Deployment {
         Ok(dep)
     }
 
-    /// Plans and stages without the whole-graph fit check — the legacy
-    /// chained path validates only its (smaller) chain window, so it must
-    /// not be gated on per-layer deployability.
+    /// Plans and stages without the whole-graph fit check — the chained
+    /// mode validates only its (smaller) chain window, so it must not be
+    /// gated on per-layer deployability.
     pub(crate) fn new_unchecked(
         device: Device,
         kind: PlannerKind,
         graph: &Graph,
         weights: &[LayerWeights],
     ) -> Result<Self, EngineError> {
-        assert_eq!(weights.len(), graph.len(), "weights/layers mismatch");
+        if weights.len() != graph.len() {
+            return Err(EngineError::WeightsMismatch {
+                layers: graph.len(),
+                weights: weights.len(),
+            });
+        }
         let started = Instant::now();
         let planner = kind.planner();
-        let executor = kind.executor();
-        let plans = executor.prepare(&*planner, graph, &device);
+        let (plan, schedule) = Schedule::plan(kind, &*planner, graph, &device);
         // Validate the firmware image up front so `session()` cannot
         // fail: a dry-run staging into a probe machine exercises the
         // exact code path sessions use (layer/weights kinds, Flash
@@ -139,10 +120,10 @@ impl Deployment {
                 device,
                 kind,
                 planner,
-                executor,
                 graph: graph.clone(),
                 weights: weights.to_vec(),
-                plans,
+                plan,
+                schedule,
                 planning_ms,
                 image_bytes,
             }),
@@ -170,45 +151,17 @@ impl Deployment {
         &*self.inner.planner
     }
 
-    /// The cached executor — the other half of the policy pair.
-    pub fn executor(&self) -> &dyn Executor {
-        &*self.inner.executor
-    }
-
     /// The memoized whole-graph memory plan (one entry per execution
     /// node).
     pub fn plan(&self) -> &MemoryPlan {
-        &self.inner.plans.memory
+        &self.inner.plan
     }
 
-    /// All memoized plan artifacts.
-    pub fn plans(&self) -> &PlanSet {
-        &self.inner.plans
-    }
-
-    /// The memoized fusion plan (fused policy only).
-    pub fn fusion_plan(&self) -> Option<&FusionPlan> {
-        self.inner.plans.fusion.as_ref()
-    }
-
-    /// The memoized patch plan (patched policy only).
-    pub fn patch_plan(&self) -> Option<&PatchPlan> {
-        self.inner.plans.patch.as_ref()
-    }
-
-    /// The memoized §4 chain plan (vMCU policy only).
-    pub fn chain_plan(&self) -> Option<&ChainPlan> {
-        self.inner.plans.chain.as_ref()
-    }
-
-    /// The memoized multi-device partition (split policy only).
-    pub fn split_plan(&self) -> Option<&SplitPlan> {
-        self.inner.plans.split.as_ref()
-    }
-
-    /// The memoized execution-order search result (reorder policy only).
-    pub fn order_plan(&self) -> Option<&OrderPlan> {
-        self.inner.plans.order.as_ref()
+    /// The memoized schedule: how [`Session::infer`] walks the graph,
+    /// with the plan artifacts (fusion, patch, split, order, chain) the
+    /// policy produced.
+    pub fn schedule(&self) -> &Schedule {
+        &self.inner.schedule
     }
 
     /// Peak SRAM this model commits on its device (activations +
@@ -216,12 +169,11 @@ impl Deployment {
     /// overhead) — priced from the **cached** plan, so admission control
     /// never replans.
     pub fn peak_demand_bytes(&self) -> usize {
-        if self.inner.plans.memory.layers.is_empty() {
+        if self.inner.plan.layers.is_empty() {
             return 0;
         }
         self.inner
-            .plans
-            .memory
+            .plan
             .bottleneck_bytes()
             .saturating_sub(self.inner.device.runtime_overhead_bytes)
     }
@@ -347,7 +299,7 @@ impl Session {
 
     /// Resets volatile machine state between inferences and verifies the
     /// deployed invariants first: the staged flash image must be exactly
-    /// as deploy left it — an executor that programmed Flash mid-run is
+    /// as deploy left it — a kernel that programmed Flash mid-run is
     /// a leaked-state bug, reported as a typed error, never silently
     /// absorbed.
     fn reset_between_inferences(&mut self) -> Result<(), EngineError> {
@@ -365,61 +317,95 @@ impl Session {
 
     /// Runs one inference through the deployed schedule — no planning,
     /// no flash programming, no allocation beyond the report itself.
-    /// Results are bit-identical to the legacy `run_graph*` paths, call
-    /// after call.
+    /// Results are bit-identical call after call.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::StateLeak`] when a previous inference
-    /// corrupted deployed state, [`EngineError::Unsupported`] for layer
-    /// kinds the executor cannot run, and pool/memory errors on internal
-    /// bugs.
+    /// corrupted deployed state, [`EngineError::DoesNotFit`] for a plan
+    /// row over the device RAM (reachable only through
+    /// [`Engine::deploy_unchecked`](crate::engine::Engine::deploy_unchecked)),
+    /// [`EngineError::Unsupported`] for layer kinds the policy's kernels
+    /// cannot run, and pool/memory errors on internal bugs.
     pub fn infer(&mut self, input: &Tensor<i8>) -> Result<InferenceReport, EngineError> {
         self.reset_between_inferences()?;
-        let report = {
-            let ctx = ExecCtx {
-                device: &self.deployment.inner.device,
-                graph: &self.deployment.inner.graph,
-                plans: &self.deployment.inner.plans,
-                staged: &self.staged,
-            };
-            self.deployment
-                .inner
-                .executor
-                .infer(&ctx, &mut self.machine, input)?
-        };
+        let dep = &*self.deployment.inner;
+        if let Some(row) = dep.plan.layers.iter().find(|row| !row.fits) {
+            return Err(EngineError::DoesNotFit {
+                layer: row.name.clone(),
+                needed: row.measured_bytes,
+                available: dep.device.ram_bytes,
+            });
+        }
+        let kernels = dep.kind.kernels();
+        let (graph, staged) = (&dep.graph, self.staged.as_slice());
+        let mut run = Run::new(&mut self.machine, &dep.plan);
+        let output = match &dep.schedule {
+            Schedule::Nodes { order, .. } => {
+                exec::run_nodes(&mut run, kernels, graph, staged, order.as_ref(), input)
+            }
+            Schedule::Fused(fusion) => exec::fused::run_fusion_nodes(
+                &mut run,
+                kernels,
+                graph,
+                staged,
+                &fusion.nodes,
+                input,
+            ),
+            Schedule::Patched(patch) => {
+                exec::patched::run_patched(&mut run, kernels, graph, staged, patch, input)
+            }
+            Schedule::Split(split) => {
+                exec::split::run_split(&mut run, kernels, staged, split, input)
+            }
+        }?;
+        let report = run.finish(output);
         self.inferences += 1;
         Ok(report)
     }
 
     /// Runs one inference chained through a single circular pool (§4's
-    /// whole-network deployment model). Only the vMCU policy supports
-    /// it.
+    /// whole-network deployment model). Only the vMCU policy on a chain
+    /// graph supports it.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Unsupported`] for non-vMCU policies,
-    /// [`EngineError::DoesNotFit`] when the chain window exceeds RAM,
-    /// plus the [`Session::infer`] contract.
+    /// [`EngineError::Unsupported`] for other policies and for branchy
+    /// DAGs, [`EngineError::DoesNotFit`] when the chain window exceeds
+    /// RAM, plus the [`Session::infer`] contract.
     pub fn infer_chained(
         &mut self,
         input: &Tensor<i8>,
     ) -> Result<(InferenceReport, ChainPlan), EngineError> {
         self.reset_between_inferences()?;
-        let out = {
-            let ctx = ExecCtx {
-                device: &self.deployment.inner.device,
-                graph: &self.deployment.inner.graph,
-                plans: &self.deployment.inner.plans,
-                staged: &self.staged,
-            };
-            self.deployment
-                .inner
-                .executor
-                .infer_chained(&ctx, &mut self.machine, input)?
+        let dep = &*self.deployment.inner;
+        let (
+            Schedule::Nodes {
+                chain: Some(plan), ..
+            },
+            Kernels::Segment(scheme),
+        ) = (&dep.schedule, dep.kind.kernels())
+        else {
+            return Err(EngineError::Unsupported {
+                kind: if dep.graph.is_chain() {
+                    "chained graph"
+                } else {
+                    "chained DAG"
+                },
+                executor: dep.kind.name(),
+            });
         };
+        let report = exec::vmcu::infer_chained(
+            &mut self.machine,
+            &dep.device,
+            &dep.graph,
+            &self.staged,
+            plan,
+            scheme,
+            input,
+        )?;
         self.inferences += 1;
-        Ok(out)
+        Ok((report, plan.clone()))
     }
 }
 
@@ -446,24 +432,43 @@ mod tests {
         let g = zoo::mbv2_block_unfused();
         let weights = g.random_weights(1);
         let dev = Device::stm32_f411re();
-        let vmcu = Engine::new(dev.clone()).deploy(&g, &weights).unwrap();
-        assert!(vmcu.chain_plan().is_some(), "vMCU memoizes the chain plan");
-        assert!(vmcu.fusion_plan().is_none());
-        let fused = Engine::new(dev.clone())
-            .planner(PlannerKind::VmcuFused(IbScheme::RowBuffer))
-            .deploy(&g, &weights)
-            .unwrap();
-        assert!(fused.fusion_plan().is_some());
-        let patched = Engine::new(dev.clone())
-            .planner(PlannerKind::VmcuPatched(IbScheme::RowBuffer))
-            .deploy(&g, &weights)
-            .unwrap();
-        assert!(patched.patch_plan().is_some());
+        let schedule = |kind| {
+            Engine::new(dev.clone())
+                .planner(kind)
+                .deploy(&g, &weights)
+                .unwrap()
+                .schedule()
+                .clone()
+        };
+        assert!(
+            matches!(
+                schedule(PlannerKind::Vmcu(IbScheme::RowBuffer)),
+                Schedule::Nodes {
+                    order: None,
+                    chain: Some(_)
+                }
+            ),
+            "vMCU memoizes the chain plan"
+        );
+        assert!(matches!(
+            schedule(PlannerKind::VmcuFused(IbScheme::RowBuffer)),
+            Schedule::Fused(_)
+        ));
+        assert!(matches!(
+            schedule(PlannerKind::VmcuPatched(IbScheme::RowBuffer)),
+            Schedule::Patched(_)
+        ));
+        assert!(matches!(
+            schedule(PlannerKind::TinyEngine),
+            Schedule::Nodes {
+                order: None,
+                chain: None
+            }
+        ));
         let te = Engine::new(dev)
             .planner(PlannerKind::TinyEngine)
             .deploy(&g, &weights)
             .unwrap();
-        assert!(te.fusion_plan().is_none() && te.patch_plan().is_none());
         assert!(te.planning_ms() >= 0.0);
     }
 
@@ -493,7 +498,7 @@ mod tests {
         let (dep, input) = deployed();
         let mut s = dep.session();
         s.infer(&input).unwrap();
-        // Simulate an executor bug: extra flash programmed mid-session.
+        // Simulate a kernel bug: extra flash programmed mid-session.
         s.machine.host_program_flash(&[0xAB; 16]).unwrap();
         let err = s.infer(&input).unwrap_err();
         match err {

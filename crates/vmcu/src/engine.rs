@@ -4,22 +4,17 @@
 //! planner policy, [`deploy`](Engine::deploy) a model once — fit is
 //! validated, every plan artifact is memoized, weights are staged into
 //! Flash — and run as many inferences as you like through the resulting
-//! [`Session`](crate::deploy::Session) with zero replanning. Policies are
-//! *pairs*: a [`MemoryPlanner`] decides RAM at deploy time, an
-//! [`Executor`] runs the deployed schedule; the
-//! engine core dispatches on neither. vMCU plans are additionally
-//! validated at run time by the checked pool — a planning bug turns into
-//! a typed error, never a wrong answer.
+//! [`Session`](crate::deploy::Session) with zero replanning. A policy is
+//! a [`MemoryPlanner`] that decides RAM at deploy time plus the
+//! [`Schedule`](crate::exec::Schedule) the device runs. vMCU plans are
+//! additionally validated at run time by the checked pool — a planning
+//! bug turns into a typed error, never a wrong answer.
 
 use crate::deploy::Deployment;
 use crate::error::EngineError;
-use crate::exec::{
-    stage_layer, Executor, FusedExecutor, HmcosExecutor, PatchedExecutor, ReorderExecutor,
-    SplitExecutor, TinyEngineExecutor, VmcuExecutor,
-};
+use crate::exec::{self, stage_layer, Kernels};
 use vmcu_graph::{Graph, LayerDesc, LayerWeights};
 use vmcu_kernels::IbScheme;
-use vmcu_plan::chain::ChainPlan;
 use vmcu_plan::planner::MemoryPlanner;
 use vmcu_plan::{
     FusedPlanner, HmcosPlanner, LayerPlan, MemoryPlan, PatchedPlanner, ReorderPlanner,
@@ -28,15 +23,13 @@ use vmcu_plan::{
 use vmcu_sim::{Device, ExecSummary, Machine};
 use vmcu_tensor::Tensor;
 
-/// Planner/executor policy selection.
+/// Planning policy selection.
 ///
-/// A `PlannerKind` resolves to a *pair*: the planning policy object
+/// A `PlannerKind` resolves to the planning policy object
 /// ([`planner`](PlannerKind::planner)) that decides RAM at deploy time,
-/// and the executor ([`executor`](PlannerKind::executor)) that runs the
-/// deployed schedule. [`Engine::deploy`] resolves the pair once and
-/// caches it in the [`Deployment`]; adding a policy means adding a
-/// planner, an executor, and one arm here — the engine core never
-/// changes.
+/// and to the [`Schedule`](crate::exec::Schedule) the device runs.
+/// [`Engine::deploy`] resolves both once and caches them in the
+/// [`Deployment`].
 ///
 /// # Examples
 ///
@@ -81,7 +74,7 @@ pub enum PlannerKind {
     /// Split inference across up to `devices` networked MCUs: the graph
     /// is cut layer-wise into contiguous per-device stages minimizing
     /// the max per-device peak (each stage planned by the fusion pass),
-    /// and the pipelined executor streams the boundary activations
+    /// and the pipelined schedule streams the boundary activations
     /// stage-to-stage with every transfer priced by the deterministic
     /// `vmcu_sim::LinkModel` — the policy for models no *single* device
     /// can hold.
@@ -139,21 +132,19 @@ impl PlannerKind {
         }
     }
 
-    /// The execution policy object for this kind — the other half of the
-    /// planner/executor pair a [`Deployment`] caches.
-    pub fn executor(&self) -> Box<dyn Executor> {
+    /// The kernels this policy runs single nodes with, and its merge
+    /// layout.
+    pub(crate) fn kernels(&self) -> Kernels {
         match self {
-            PlannerKind::Vmcu(scheme) => Box::new(VmcuExecutor { scheme: *scheme }),
-            PlannerKind::VmcuFused(scheme) => Box::new(FusedExecutor { scheme: *scheme }),
-            PlannerKind::VmcuPatched(scheme) => Box::new(PatchedExecutor { scheme: *scheme }),
-            PlannerKind::TinyEngine => Box::new(TinyEngineExecutor),
-            PlannerKind::Hmcos => Box::new(HmcosExecutor),
-            PlannerKind::VmcuSplit { devices, scheme } => Box::new(SplitExecutor {
-                devices: *devices,
-                scheme: *scheme,
-                link: vmcu_sim::LinkModel::default(),
-            }),
-            PlannerKind::VmcuReorder(scheme) => Box::new(ReorderExecutor { scheme: *scheme }),
+            PlannerKind::Vmcu(scheme)
+            | PlannerKind::VmcuFused(scheme)
+            | PlannerKind::VmcuPatched(scheme)
+            | PlannerKind::VmcuSplit { scheme, .. }
+            | PlannerKind::VmcuReorder(scheme) => Kernels::Segment(*scheme),
+            PlannerKind::TinyEngine => Kernels::Baseline { add_in_place: true },
+            PlannerKind::Hmcos => Kernels::Baseline {
+                add_in_place: false,
+            },
         }
     }
 }
@@ -179,8 +170,9 @@ pub struct InferenceReport {
 }
 
 impl InferenceReport {
-    /// Peak measured RAM across layers (bytes, including runtime
-    /// overhead).
+    /// Peak planned RAM across layers (bytes, including runtime
+    /// overhead): the largest `LayerPlan::measured_bytes`, which is
+    /// planner arithmetic, not a reading taken while the kernels ran.
     pub fn peak_ram_bytes(&self) -> usize {
         self.layers
             .iter()
@@ -200,23 +192,6 @@ impl InferenceReport {
     }
 }
 
-/// Legacy reusable execution state, superseded by
-/// [`Session`](crate::deploy::Session) (which owns the machine, the
-/// staged flash image, and the memoized plans). The deprecated
-/// `run_*_scratch` wrappers accept it for source compatibility but no
-/// longer read it.
-#[deprecated(note = "use `Engine::deploy(..)` and keep the `Session` instead")]
-#[derive(Debug, Default)]
-pub struct InferenceScratch {}
-
-#[allow(deprecated)]
-impl InferenceScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The inference engine.
 #[derive(Debug, Clone)]
 pub struct Engine {
@@ -232,26 +207,6 @@ impl Engine {
             device,
             kind: PlannerKind::Vmcu(IbScheme::RowBuffer),
         }
-    }
-
-    /// Deprecated checked constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DoesNotFit`] naming the bottleneck layer
-    /// when any layer's planned RAM exceeds the device.
-    #[deprecated(
-        note = "use `Engine::new(device).planner(kind).deploy(graph, weights)` — \
-                         a `Deployment` validates fit once and memoizes every plan"
-    )]
-    pub fn with_model(
-        device: Device,
-        kind: PlannerKind,
-        graph: &Graph,
-    ) -> Result<Self, EngineError> {
-        let engine = Self { device, kind };
-        engine.check_fit(graph)?;
-        Ok(engine)
     }
 
     /// Plans the whole graph and verifies every layer fits the device.
@@ -273,7 +228,7 @@ impl Engine {
         Ok(plan)
     }
 
-    /// Selects the planner/executor policy.
+    /// Selects the policy.
     pub fn planner(mut self, kind: PlannerKind) -> Self {
         self.kind = kind;
         self
@@ -290,8 +245,8 @@ impl Engine {
     }
 
     /// Deploys a model: validates device fit once, memoizes the
-    /// [`MemoryPlan`] plus every policy plan artifact
-    /// (fusion/patch/chain), resolves the planner+executor pair, and
+    /// [`MemoryPlan`] and the policy's schedule (with its
+    /// fusion/patch/split/order/chain plans), resolves the planner, and
     /// takes ownership of the weights that sessions will stage into
     /// Flash. This is the entry point of the plan-once/run-many flow:
     ///
@@ -311,9 +266,11 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`EngineError::DoesNotFit`] naming the bottleneck layer
-    /// for non-deployable models, [`EngineError::Unsupported`] for
-    /// layer/weights kinds that cannot stage, and a memory error when
-    /// the firmware image exceeds the device Flash.
+    /// for non-deployable models, [`EngineError::WeightsMismatch`] when
+    /// `weights` does not hold one entry per layer,
+    /// [`EngineError::Unsupported`] for layer/weights kinds that cannot
+    /// stage, and a memory error when the firmware image exceeds the
+    /// device Flash.
     pub fn deploy(
         &self,
         graph: &Graph,
@@ -333,9 +290,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Unsupported`] for layer/weights kinds that
-    /// cannot stage and a memory error when the firmware image exceeds
-    /// the device Flash.
+    /// Returns [`EngineError::WeightsMismatch`] when `weights` does not
+    /// hold one entry per layer, [`EngineError::Unsupported`] for
+    /// layer/weights kinds that cannot stage and a memory error when the
+    /// firmware image exceeds the device Flash.
     pub fn deploy_unchecked(
         &self,
         graph: &Graph,
@@ -370,7 +328,8 @@ impl Engine {
     ///
     /// Returns [`EngineError::DoesNotFit`] when the plan exceeds device
     /// RAM, [`EngineError::Unsupported`] for layer kinds the selected
-    /// executor cannot run, and pool/memory errors on internal bugs.
+    /// policy's kernels cannot run, and pool/memory errors on internal
+    /// bugs.
     pub fn run_layer(
         &self,
         name: &str,
@@ -382,10 +341,7 @@ impl Engine {
         let mut m = Machine::new(self.device.clone());
         let staged = stage_layer(&mut m, layer, weights)?;
         let before = m.snapshot();
-        let output = self
-            .kind
-            .executor()
-            .exec_layer(&mut m, layer, staged, input)?;
+        let output = exec::exec_layer(&mut m, self.kind.kernels(), layer, staged, input)?;
         let exec = m.summarize_since(&before);
         Ok((
             output,
@@ -395,89 +351,6 @@ impl Engine {
                 exec,
             },
         ))
-    }
-
-    /// Deprecated [`run_layer`](Self::run_layer) variant; the scratch is
-    /// ignored (machine reuse now lives in
-    /// [`Session`](crate::deploy::Session)). Results are identical to
-    /// `run_layer`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run_layer`](Self::run_layer).
-    #[deprecated(note = "use `run_layer`, or `Engine::deploy(..).session()` for reuse")]
-    #[allow(deprecated)]
-    pub fn run_layer_scratch(
-        &self,
-        name: &str,
-        layer: &LayerDesc,
-        weights: &LayerWeights,
-        input: &Tensor<i8>,
-        _scratch: &mut InferenceScratch,
-    ) -> Result<(Tensor<i8>, LayerReport), EngineError> {
-        self.run_layer(name, layer, weights, input)
-    }
-
-    /// Deprecated one-shot graph run: deploys, opens a session, infers
-    /// once. Bit-identical to the historical per-call path, but pays
-    /// planning+staging on every call — hot paths should hold the
-    /// [`Deployment`] and its [`Session`](crate::deploy::Session).
-    ///
-    /// # Errors
-    ///
-    /// The [`deploy`](Engine::deploy) and
-    /// [`Session::infer`](crate::deploy::Session::infer) contracts.
-    #[deprecated(
-        note = "use `Engine::deploy(graph, weights)?.session().infer(input)` — \
-                         plan once, run many"
-    )]
-    pub fn run_graph(
-        &self,
-        graph: &Graph,
-        weights: &[LayerWeights],
-        input: &Tensor<i8>,
-    ) -> Result<InferenceReport, EngineError> {
-        self.deploy(graph, weights)?.session().infer(input)
-    }
-
-    /// Deprecated [`run_graph`](Self::run_graph) variant; the scratch is
-    /// ignored (reuse now lives in [`Session`](crate::deploy::Session)).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run_graph`](Self::run_graph).
-    #[deprecated(note = "deploy once (`Engine::deploy`) and reuse the `Session` instead")]
-    #[allow(deprecated)]
-    pub fn run_graph_scratch(
-        &self,
-        graph: &Graph,
-        weights: &[LayerWeights],
-        input: &Tensor<i8>,
-        _scratch: &mut InferenceScratch,
-    ) -> Result<InferenceReport, EngineError> {
-        self.deploy(graph, weights)?.session().infer(input)
-    }
-
-    /// Deprecated chained run: deploys (without the per-layer fit gate —
-    /// the chain validates its own, smaller window) and infers through
-    /// one circular pool. Only available under the vMCU policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Unsupported`] for non-vMCU policies,
-    /// [`EngineError::DoesNotFit`] when the window exceeds RAM, and pool
-    /// errors on planning bugs (never silent corruption).
-    #[deprecated(note = "use `Engine::deploy(..)` then `Session::infer_chained` — the \
-                         deployment memoizes the `ChainPlan`")]
-    pub fn run_graph_chained(
-        &self,
-        graph: &Graph,
-        weights: &[LayerWeights],
-        input: &Tensor<i8>,
-    ) -> Result<(InferenceReport, ChainPlan), EngineError> {
-        self.deploy_unchecked(graph, weights)?
-            .session()
-            .infer_chained(input)
     }
 }
 
@@ -518,7 +391,7 @@ mod tests {
             .planner(PlannerKind::TinyEngine)
             .run_layer("S5", &layer, &w, &input)
             .unwrap();
-        assert_eq!(out_v, out_t, "both executors must agree bit-exact");
+        assert_eq!(out_v, out_t, "both kernel families must agree bit-exact");
         assert!(rep_v.plan.measured_bytes < rep_t.plan.measured_bytes);
     }
 
@@ -582,33 +455,6 @@ mod tests {
         assert_eq!(warm.latency_ms(), fresh.latency_ms());
         assert_eq!(warm.energy_mj(), fresh.energy_mj());
         assert_eq!(warm.peak_ram_bytes(), fresh.peak_ram_bytes());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_match_the_deploy_path_bit_for_bit() {
-        let g = zoo::demo_linear_net();
-        let weights = g.random_weights(21);
-        let input = random::tensor_i8(&g.in_shape(), 22);
-        let engine = Engine::new(Device::stm32_f767zi());
-        let legacy = engine.run_graph(&g, &weights, &input).unwrap();
-        let mut scratch = InferenceScratch::new();
-        let legacy_scratch = engine
-            .run_graph_scratch(&g, &weights, &input, &mut scratch)
-            .unwrap();
-        let new = infer(&engine, &g, &weights, &input);
-        for old in [&legacy, &legacy_scratch] {
-            assert_eq!(old.output, new.output);
-            assert_eq!(old.latency_ms(), new.latency_ms());
-            assert_eq!(old.energy_mj(), new.energy_mj());
-            assert_eq!(old.peak_ram_bytes(), new.peak_ram_bytes());
-        }
-        assert!(Engine::with_model(
-            Device::stm32_f767zi(),
-            PlannerKind::Vmcu(IbScheme::RowBuffer),
-            &g
-        )
-        .is_ok());
     }
 
     #[test]

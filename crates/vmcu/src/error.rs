@@ -18,17 +18,25 @@ pub enum EngineError {
         /// Device RAM bytes.
         available: usize,
     },
-    /// The selected planner/executor combination does not support this
+    /// The selected policy's kernels or schedule do not support this
     /// layer kind.
     Unsupported {
         /// Layer kind.
         kind: &'static str,
-        /// Executor name.
+        /// Name of the kernels or policy that refused it.
         executor: &'static str,
+    },
+    /// The weights slice passed to deploy does not hold exactly one
+    /// entry per graph layer.
+    WeightsMismatch {
+        /// Layers in the graph.
+        layers: usize,
+        /// Entries in the weights slice.
+        weights: usize,
     },
     /// Deployed session state leaked between inferences — an invariant
     /// staged at deploy time (e.g. the flash firmware image) changed
-    /// during `infer`. Indicates an executor bug; surfaced as a typed
+    /// during `infer`. Indicates a kernel bug; surfaced as a typed
     /// error on the next inference, never silently absorbed.
     StateLeak {
         /// The deployed invariant that changed.
@@ -59,6 +67,10 @@ impl fmt::Display for EngineError {
             EngineError::Unsupported { kind, executor } => {
                 write!(f, "{executor} executor does not support {kind} layers")
             }
+            EngineError::WeightsMismatch { layers, weights } => write!(
+                f,
+                "the graph has {layers} layers but {weights} weight entries were given"
+            ),
             EngineError::StateLeak {
                 what,
                 expected,

@@ -1,153 +1,50 @@
-//! The fused executor: runs of fusable layers execute as one fused chain
+//! Fusion-plan nodes: runs of fusable layers execute as one fused chain
 //! in a single pool window (intermediates live only as line-buffer
-//! rings); singleton nodes run through the shared vMCU layer body.
+//! rings); singleton nodes run through the policy's single-layer body.
 
-use super::vmcu::exec_layer_vmcu;
-use super::{exec_merge, infer_in_order, ExecCtx, Executor, MergeMode, StagedLayer};
-use crate::engine::{InferenceReport, LayerReport};
+use super::{exec_layer, Kernels, Run, StagedLayer};
 use crate::error::EngineError;
-use vmcu_graph::LayerDesc;
+use vmcu_graph::Graph;
 use vmcu_kernels::fused_chain::run_fused_chain;
-use vmcu_kernels::IbScheme;
 use vmcu_plan::FusionNode;
 use vmcu_pool::SegmentPool;
-use vmcu_sim::Machine;
 use vmcu_tensor::Tensor;
 
-/// Multi-layer segment fusion execution.
-#[derive(Debug, Clone, Copy)]
-pub struct FusedExecutor {
-    /// Workspace scheme for fused inverted-bottleneck singletons.
-    pub scheme: IbScheme,
-}
-
-/// Executes a sequence of fusion-plan nodes (the whole graph under the
-/// fused policy, the tail under the patched policy), appending one
-/// [`LayerReport`] per node. Node indices are graph-absolute;
-/// `plan_offset` locates the first node's entry in the memoized
-/// [`MemoryPlan`](vmcu_plan::MemoryPlan).
+/// Executes a sequence of fusion-plan nodes — the whole graph under the
+/// fused policy, the tail under the patched policy, one stage under the
+/// split policy — reporting one node per plan row. Node indices address
+/// `graph` and `staged`.
 pub(crate) fn run_fusion_nodes(
-    scheme: IbScheme,
-    ctx: &ExecCtx<'_>,
-    m: &mut Machine,
+    run: &mut Run<'_>,
+    kernels: Kernels,
+    graph: &Graph,
+    staged: &[StagedLayer],
     nodes: &[FusionNode],
-    plan_offset: usize,
     input: &Tensor<i8>,
-    layers: &mut Vec<LayerReport>,
 ) -> Result<Tensor<i8>, EngineError> {
     let mut cur = input.clone();
-    for (k, node) in nodes.iter().enumerate() {
-        let plan = ctx.node_plan(plan_offset + k)?;
-        // Between-node reset: RAM to boot state, identical to the
-        // historical reset-per-node path; the deployed Flash image and
-        // the accumulating counters are untouched.
-        m.ram.clear();
-        let before = m.snapshot();
-        match node {
+    for node in nodes {
+        cur = match node {
             FusionNode::Single { index, .. } => {
-                let layer = &ctx.graph.layers()[*index];
-                cur = exec_layer_vmcu(m, layer, ctx.staged[*index], &cur, scheme)?;
+                let layer = &graph.layers()[*index];
+                run.node(|m| exec_layer(m, kernels, layer, staged[*index], &cur))?
             }
             FusionNode::Fused(group) => {
-                let flash = ctx.staged[group.start..group.end]
+                let flash = staged[group.start..group.end]
                     .iter()
                     .map(|s| s.single("vMCU-fused"))
                     .collect::<Result<Vec<_>, _>>()?;
                 let d = group.exec_distance;
-                let mut pool = SegmentPool::new(m, 0, group.window, group.chain.seg())?;
-                pool.host_fill_live(m, 0, &cur.as_bytes())?;
-                run_fused_chain(m, &mut pool, &group.chain, 0, -d, &flash, group.window)?;
-                let out_layer = &ctx.graph.layers()[group.end - 1];
-                let out = pool.host_read(m, -d, out_layer.out_bytes())?;
-                cur = Tensor::from_bytes(&out_layer.out_shape(), &out);
+                let out_layer = &graph.layers()[group.end - 1];
+                run.node(|m| {
+                    let mut pool = SegmentPool::new(m, 0, group.window, group.chain.seg())?;
+                    pool.host_fill_live(m, 0, &cur.as_bytes())?;
+                    run_fused_chain(m, &mut pool, &group.chain, 0, -d, &flash, group.window)?;
+                    let out = pool.host_read(m, -d, out_layer.out_bytes())?;
+                    Ok(Tensor::from_bytes(&out_layer.out_shape(), &out))
+                })?
             }
-        }
-        let exec = m.summarize_since(&before);
-        layers.push(LayerReport {
-            name: plan.name.clone(),
-            plan,
-            exec,
-        });
+        };
     }
     Ok(cur)
-}
-
-impl Executor for FusedExecutor {
-    fn name(&self) -> &'static str {
-        "vMCU-fused"
-    }
-
-    fn prepare(
-        &self,
-        planner: &dyn vmcu_plan::MemoryPlanner,
-        graph: &vmcu_graph::Graph,
-        device: &vmcu_sim::Device,
-    ) -> crate::deploy::PlanSet {
-        // Fused chains thread exactly one activation stream; on a branchy
-        // DAG the pass degrades to all-singles, so the executor drops the
-        // fusion plan and walks the graph node by node instead.
-        if !graph.is_chain() {
-            return crate::deploy::PlanSet {
-                memory: vmcu_plan::plan_graph(planner, graph, device),
-                fusion: None,
-                patch: None,
-                chain: None,
-                split: None,
-                order: None,
-            };
-        }
-        // One fusion pass serves both the memoized execution plan and
-        // the memory plan it is priced by.
-        let fusion = vmcu_plan::fuse_graph(graph, self.scheme);
-        let memory = vmcu_plan::FusedPlanner {
-            scheme: self.scheme,
-        }
-        .plan_model_from(&fusion, graph, device);
-        crate::deploy::PlanSet {
-            memory,
-            fusion: Some(fusion),
-            patch: None,
-            chain: None,
-            split: None,
-            order: None,
-        }
-    }
-
-    fn exec_layer(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        input: &Tensor<i8>,
-    ) -> Result<Tensor<i8>, EngineError> {
-        exec_layer_vmcu(m, layer, staged, input, self.scheme)
-    }
-
-    fn exec_node(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        inputs: &[&Tensor<i8>],
-    ) -> Result<Tensor<i8>, EngineError> {
-        match inputs {
-            [single] => self.exec_layer(m, layer, staged, single),
-            _ => exec_merge(m, layer, inputs, MergeMode::Overlap),
-        }
-    }
-
-    fn infer(
-        &self,
-        ctx: &ExecCtx<'_>,
-        m: &mut Machine,
-        input: &Tensor<i8>,
-    ) -> Result<InferenceReport, EngineError> {
-        // DAG deployments carry no fusion plan: walk node by node.
-        let Some(fusion) = ctx.plans.fusion.as_ref() else {
-            return infer_in_order(self, ctx, m, input);
-        };
-        let mut layers = Vec::with_capacity(fusion.nodes.len());
-        let output = run_fusion_nodes(self.scheme, ctx, m, &fusion.nodes, 0, input, &mut layers)?;
-        Ok(InferenceReport { output, layers })
-    }
 }

@@ -1,57 +1,171 @@
-//! Pluggable executors — one per planning policy.
+//! The deployed schedule, and the kernels that run it.
 //!
-//! The engine used to dispatch on [`PlannerKind`] inside its `run_*`
-//! bodies; every new policy meant editing the engine core. Executors
-//! invert that: a policy is a *pair* of a [`MemoryPlanner`] (how much
-//! RAM, decided at deploy time) and an [`Executor`] (how the deployed
-//! schedule runs), resolved once by [`PlannerKind::planner`] and
-//! [`PlannerKind::executor`] and cached in a
-//! [`Deployment`](crate::deploy::Deployment). Adding a policy is now a
-//! planner impl in `vmcu-plan`, an `Executor` impl here, and one arm in
-//! the `PlannerKind` resolution — the engine core never changes.
+//! vMCU plans offline and runs a fixed schedule on the device. A policy
+//! is a [`MemoryPlanner`] (how much RAM, decided at deploy time) plus a
+//! [`Schedule`]: the plan artifacts the device walks at inference time.
+//! `Schedule::plan` builds both for a [`PlannerKind`] once, at deploy;
+//! [`Session::infer`](crate::deploy::Session::infer) runs the schedule
+//! with one `match`. Adding a policy is a planner impl in `vmcu-plan`,
+//! a `PlannerKind` arm, and, only if it walks the graph in a new way, a
+//! `Schedule` arm.
 //!
-//! Executors run against *deployed* state only: the graph, the plan
-//! artifacts memoized at deploy time ([`PlanSet`]), and the weights
-//! already staged into device Flash ([`StagedLayer`]). They must not
-//! plan (the plan-call telemetry in `vmcu_plan::telemetry` makes that
-//! checkable) and must not program Flash (the session's reset assertions
-//! turn that into a typed [`EngineError::StateLeak`]).
+//! Running a schedule touches deployed state only: the graph, the
+//! memoized plans, and the weights already staged into device Flash
+//! (`StagedLayer`). It must not plan (the plan-call telemetry in
+//! `vmcu_plan::telemetry` makes that checkable) and must not program
+//! Flash (the session's reset assertions turn that into a typed
+//! [`EngineError::StateLeak`]).
 //!
-//! [`PlannerKind`]: crate::engine::PlannerKind
-//! [`PlannerKind::planner`]: crate::engine::PlannerKind::planner
-//! [`PlannerKind::executor`]: crate::engine::PlannerKind::executor
 //! [`MemoryPlanner`]: vmcu_plan::MemoryPlanner
 //! [`EngineError::StateLeak`]: crate::error::EngineError::StateLeak
 
-pub mod fused;
-pub mod hmcos;
-pub mod patched;
-pub mod reorder;
-pub mod split;
-pub mod tinyengine;
-pub mod vmcu;
+pub(crate) mod fused;
+pub(crate) mod patched;
+pub(crate) mod split;
+pub(crate) mod tinyengine;
+pub(crate) mod vmcu;
 
-use crate::deploy::PlanSet;
-use crate::engine::{InferenceReport, LayerReport};
+use crate::engine::{InferenceReport, LayerReport, PlannerKind};
 use crate::error::EngineError;
 use vmcu_graph::{Graph, LayerDesc, LayerWeights, NodeInput};
 use vmcu_kernels::merge::{add_exec_distance, concat_exec_distance, run_add, run_concat};
-use vmcu_plan::{ChainPlan, LayerPlan};
+use vmcu_kernels::IbScheme;
+use vmcu_plan::{
+    ChainPlan, FusionPlan, LayerPlan, MemoryPlan, MemoryPlanner, OrderPlan, PatchPlan, SplitPlan,
+};
 use vmcu_pool::SegmentPool;
-use vmcu_sim::{Device, Machine};
+use vmcu_sim::{Device, ExecSummary, Machine};
 use vmcu_tensor::Tensor;
 
-pub use fused::FusedExecutor;
-pub use hmcos::HmcosExecutor;
-pub use patched::PatchedExecutor;
-pub use reorder::ReorderExecutor;
-pub use split::SplitExecutor;
-pub use tinyengine::TinyEngineExecutor;
-pub use vmcu::VmcuExecutor;
+/// How a deployment walks its graph at inference time, with the plan
+/// artifacts that walk needs, memoized at deploy.
+///
+/// Every schedule emits one report per row of the deployment's
+/// [`MemoryPlan`], in row order.
+#[derive(Debug, Clone)]
+pub enum Schedule {
+    /// Node by node, one pool per node, each activation held until its
+    /// last consumer. Used by vMCU, reorder, TinyEngine and HMCOS, and by
+    /// the chain-only policies (fused, patched, split) on branchy DAGs.
+    Nodes {
+        /// The searched minimum-peak execution order (reorder policy);
+        /// `None` runs the nodes in index order.
+        order: Option<OrderPlan>,
+        /// The §4 whole-network chain plan that
+        /// [`Session::infer_chained`](crate::deploy::Session::infer_chained)
+        /// runs (vMCU policy on chain graphs only).
+        chain: Option<ChainPlan>,
+    },
+    /// Runs of fusable layers as fused chains in one pool window each
+    /// (fused policy).
+    Fused(FusionPlan),
+    /// The spatial front tile by tile, then the fused tail (patched
+    /// policy).
+    Patched(PatchPlan),
+    /// Fused stages on networked devices, with every cut-edge transfer
+    /// priced by the link model (split policy).
+    Split(SplitPlan),
+}
+
+impl Schedule {
+    /// Plans `graph` for `kind` on `device`: the memory plan (fit
+    /// validation and per-node report accounting) and the schedule it
+    /// prices. Called once, at deploy. Policies whose artifacts only
+    /// exist on chains (fused, patched, split) fall back to the
+    /// node-by-node walk on branchy DAGs.
+    pub(crate) fn plan(
+        kind: PlannerKind,
+        planner: &dyn MemoryPlanner,
+        graph: &Graph,
+        device: &Device,
+    ) -> (MemoryPlan, Self) {
+        let nodes = |order, chain| Schedule::Nodes { order, chain };
+        match kind {
+            PlannerKind::VmcuFused(_)
+            | PlannerKind::VmcuPatched(_)
+            | PlannerKind::VmcuSplit { .. }
+                if !graph.is_chain() =>
+            {
+                (
+                    vmcu_plan::plan_graph(planner, graph, device),
+                    nodes(None, None),
+                )
+            }
+            PlannerKind::Vmcu(scheme) => {
+                let memory = vmcu_plan::plan_graph(planner, graph, device);
+                // The §4 chain deployment model threads one circular
+                // window through consecutive layers: chains only.
+                let chain = graph
+                    .is_chain()
+                    .then(|| vmcu_plan::plan_chain(graph, scheme));
+                (memory, nodes(None, chain))
+            }
+            PlannerKind::TinyEngine | PlannerKind::Hmcos => (
+                vmcu_plan::plan_graph(planner, graph, device),
+                nodes(None, None),
+            ),
+            // Each policy below runs its search once; the same artifact
+            // is both the schedule and what the memory plan prices.
+            PlannerKind::VmcuReorder(_) => {
+                let order = vmcu_plan::plan_order(planner, graph);
+                let memory =
+                    vmcu_plan::order::plan_model_for_order(planner, graph, device, &order.order);
+                (memory, nodes(Some(order), None))
+            }
+            PlannerKind::VmcuFused(scheme) => {
+                let fusion = vmcu_plan::fuse_graph(graph, scheme);
+                let memory =
+                    vmcu_plan::FusedPlanner { scheme }.plan_model_from(&fusion, graph, device);
+                (memory, Schedule::Fused(fusion))
+            }
+            PlannerKind::VmcuPatched(scheme) => {
+                let patch_planner = vmcu_plan::PatchedPlanner {
+                    scheme,
+                    ..vmcu_plan::PatchedPlanner::default()
+                };
+                let patch = patch_planner.patch_plan(graph);
+                let memory = patch_planner.plan_model_from(&patch, graph, device);
+                (memory, Schedule::Patched(patch))
+            }
+            PlannerKind::VmcuSplit { devices, scheme } => {
+                let split = vmcu_plan::plan_split(graph, devices, scheme);
+                let memory =
+                    vmcu_plan::SplitPlanner { devices, scheme }.plan_model_from(&split, device);
+                (memory, Schedule::Split(split))
+            }
+        }
+    }
+}
+
+/// The kernels a policy runs single graph nodes with, and the layout its
+/// merges use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kernels {
+    /// vMCU's segment-level kernels (inverted bottlenecks use the given
+    /// workspace scheme). Merges overlap their dying operands.
+    Segment(IbScheme),
+    /// The tensor-level baseline kernels. TinyEngine adds in place
+    /// (`add_in_place`) and lays concat outputs disjoint; HMCOS, which
+    /// contributes no kernels of its own (§7), lays every merge disjoint.
+    Baseline {
+        /// Whether an add writes over one of its operands.
+        add_in_place: bool,
+    },
+}
+
+impl Kernels {
+    fn merge_mode(self, layer: &LayerDesc) -> MergeMode {
+        match (self, layer) {
+            (Kernels::Segment(_), _)
+            | (Kernels::Baseline { add_in_place: true }, LayerDesc::Add(_)) => MergeMode::Overlap,
+            _ => MergeMode::Disjoint,
+        }
+    }
+}
 
 /// Flash addresses of one layer's weights, staged at deploy time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StagedLayer {
+pub(crate) enum StagedLayer {
     /// One contiguous weight image (pointwise, conv2d, depthwise, dense).
     Single(usize),
     /// The three images of a fused inverted bottleneck.
@@ -69,9 +183,9 @@ pub enum StagedLayer {
 
 impl StagedLayer {
     /// The single image address, or a typed error for layers staged as
-    /// multiple images or none (`executor` names the policy in the
+    /// multiple images or none (`executor` names the kernels in the
     /// error).
-    pub fn single(&self, executor: &'static str) -> Result<usize, EngineError> {
+    pub(crate) fn single(&self, executor: &'static str) -> Result<usize, EngineError> {
         match self {
             StagedLayer::Single(addr) => Ok(*addr),
             StagedLayer::Ib { .. } => Err(EngineError::Unsupported {
@@ -87,15 +201,14 @@ impl StagedLayer {
 }
 
 /// Programs one layer's weights into Flash, returning the staged
-/// addresses. Image order matches the historical per-layer staging
-/// (`w1`, `wdw`, `w2` for inverted bottlenecks), so deployed execution
-/// is bit-identical to the legacy program-per-run path.
+/// addresses. Inverted bottlenecks stage `w1`, `wdw`, `w2` in that
+/// order.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError::Unsupported`] for a layer/weights kind
 /// mismatch and memory errors when the Flash capacity is exceeded.
-pub fn stage_layer(
+pub(crate) fn stage_layer(
     m: &mut Machine,
     layer: &LayerDesc,
     weights: &LayerWeights,
@@ -126,7 +239,7 @@ pub fn stage_layer(
 /// # Errors
 ///
 /// Same contract as [`stage_layer`], per layer.
-pub fn stage_graph(
+pub(crate) fn stage_graph(
     m: &mut Machine,
     layers: &[LayerDesc],
     weights: &[LayerWeights],
@@ -138,47 +251,107 @@ pub fn stage_graph(
         .collect()
 }
 
-/// Everything an executor sees at inference time: deployed, immutable
-/// state prepared once by `Engine::deploy`.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecCtx<'a> {
-    /// The target device.
-    pub device: &'a Device,
-    /// The deployed graph.
-    pub graph: &'a Graph,
-    /// Plan artifacts memoized at deploy time.
-    pub plans: &'a PlanSet,
-    /// Per-layer staged Flash addresses, in graph order.
-    pub staged: &'a [StagedLayer],
+/// One inference in progress: the machine, and one report per executed
+/// schedule node, paired in order with the rows of the deployment's
+/// memory plan.
+pub(crate) struct Run<'a> {
+    m: &'a mut Machine,
+    rows: std::slice::Iter<'a, LayerPlan>,
+    layers: Vec<LayerReport>,
 }
 
-impl ExecCtx<'_> {
-    /// The memoized plan entry for execution node `node` (layer index
-    /// for per-layer policies, node index for fused/patched plans),
-    /// re-checking device fit defensively — a deployment constructed
-    /// through the checked path can never hit the error.
-    pub fn node_plan(&self, node: usize) -> Result<LayerPlan, EngineError> {
-        let lp = self.plans.memory.layers[node].clone();
-        if !lp.fits {
-            return Err(EngineError::DoesNotFit {
-                layer: lp.name,
-                needed: lp.measured_bytes,
-                available: self.device.ram_bytes,
-            });
+impl<'a> Run<'a> {
+    pub(crate) fn new(m: &'a mut Machine, plan: &'a MemoryPlan) -> Self {
+        Self {
+            m,
+            rows: plan.layers.iter(),
+            layers: Vec::with_capacity(plan.layers.len()),
         }
-        Ok(lp)
+    }
+
+    /// Executes one schedule node and reports it against the next plan
+    /// row. RAM starts from boot state; the counters keep accumulating,
+    /// so the report takes their delta.
+    pub(crate) fn node<T>(
+        &mut self,
+        exec: impl FnOnce(&mut Machine) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        self.m.ram.clear();
+        let before = self.m.snapshot();
+        let out = exec(self.m)?;
+        let summary = self.m.summarize_since(&before);
+        self.record(summary);
+        Ok(out)
+    }
+
+    /// Reports a node that does no machine work (a split link transfer)
+    /// against the next plan row.
+    pub(crate) fn record(&mut self, exec: ExecSummary) {
+        let plan = self
+            .rows
+            .next()
+            .expect("the memory plan has one row per executed node")
+            .clone();
+        self.layers.push(LayerReport {
+            name: plan.name.clone(),
+            plan,
+            exec,
+        });
+    }
+
+    pub(crate) fn finish(self, output: Tensor<i8>) -> InferenceReport {
+        InferenceReport {
+            output,
+            layers: self.layers,
+        }
+    }
+}
+
+/// Executes one single-input layer on a machine whose RAM the caller
+/// cleared, reading the input from the host and returning the output.
+/// Flash is never touched.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Unsupported`] for layer kinds the kernels
+/// cannot run, and pool/memory errors on internal bugs.
+pub(crate) fn exec_layer(
+    m: &mut Machine,
+    kernels: Kernels,
+    layer: &LayerDesc,
+    staged: StagedLayer,
+    input: &Tensor<i8>,
+) -> Result<Tensor<i8>, EngineError> {
+    match kernels {
+        Kernels::Segment(scheme) => vmcu::exec_layer(m, layer, staged, input, scheme),
+        Kernels::Baseline { .. } => tinyengine::exec_layer(m, layer, staged, input),
+    }
+}
+
+/// Executes one graph node given all of its input tensors in slot
+/// order: single-input layers through [`exec_layer`], merges through
+/// [`exec_merge`] in the kernels' merge layout.
+fn exec_node(
+    m: &mut Machine,
+    kernels: Kernels,
+    layer: &LayerDesc,
+    staged: StagedLayer,
+    inputs: &[&Tensor<i8>],
+) -> Result<Tensor<i8>, EngineError> {
+    match inputs {
+        [single] => exec_layer(m, kernels, layer, staged, single),
+        _ => exec_merge(m, layer, inputs, kernels.merge_mode(layer)),
     }
 }
 
 /// How a merge kernel lays its output relative to its operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeMode {
+enum MergeMode {
     /// Segment-level overlap: the output lands at `−d` where `d` is the
     /// kernel's executable distance, so it reuses the dying operand
-    /// slots (vMCU policies).
+    /// slots.
     Overlap,
-    /// Disjoint output after both operands (tensor-level baselines;
-    /// HMCOS, and TinyEngine's concat).
+    /// Disjoint output after both operands.
     Disjoint,
 }
 
@@ -187,7 +360,7 @@ pub enum MergeMode {
 /// merge kernel, and reads the output back. The window matches the
 /// planners' pricing for each mode, so executed peaks equal planned
 /// peaks byte for byte.
-pub fn exec_merge(
+fn exec_merge(
     m: &mut Machine,
     layer: &LayerDesc,
     inputs: &[&Tensor<i8>],
@@ -239,39 +412,38 @@ pub fn exec_merge(
     }
 }
 
-/// Walks a deployed graph in `order` (default index order when `None`),
-/// holding every produced activation host-side until its last consumer —
-/// the execution mirror of the planners' last-consumer liveness pricing.
-/// The memoized plan rows are consumed **by step** (row `k` prices the
-/// `k`-th executed node), which is the identity mapping for default-order
-/// plans and the searched order for reorder plans.
+/// Walks a deployed graph in `order` (index order when `None`), holding
+/// every produced activation host-side until its last consumer — the
+/// execution mirror of the planners' last-consumer liveness pricing.
+/// The plan rows are consumed by step (row `k` prices the `k`-th
+/// executed node), which is the identity mapping for index-order plans
+/// and the searched order for reorder plans.
 ///
 /// # Panics
 ///
 /// Panics if `order` is not topological (a node executes before one of
 /// its producers) — deploy-time validation rules that out.
-pub fn infer_in_order<E: Executor + ?Sized>(
-    executor: &E,
-    ctx: &ExecCtx<'_>,
-    m: &mut Machine,
+pub(crate) fn run_nodes(
+    run: &mut Run<'_>,
+    kernels: Kernels,
+    graph: &Graph,
+    staged: &[StagedLayer],
+    order: Option<&OrderPlan>,
     input: &Tensor<i8>,
-) -> Result<InferenceReport, EngineError> {
-    let n = ctx.graph.len();
-    let default_order: Vec<usize>;
-    let order: &[usize] = match &ctx.plans.order {
+) -> Result<Tensor<i8>, EngineError> {
+    let n = graph.len();
+    let index_order: Vec<usize>;
+    let order: &[usize] = match order {
         Some(plan) => &plan.order,
         None => {
-            default_order = (0..n).collect();
-            &default_order
+            index_order = (0..n).collect();
+            &index_order
         }
     };
-    let mut layers = Vec::with_capacity(n);
     let mut acts: Vec<Option<Tensor<i8>>> = vec![None; n];
-    for (step, &v) in order.iter().enumerate() {
-        let plan = ctx.node_plan(step)?;
-        let layer = &ctx.graph.layers()[v];
-        let inputs: Vec<&Tensor<i8>> = ctx
-            .graph
+    for &v in order {
+        let layer = &graph.layers()[v];
+        let inputs: Vec<&Tensor<i8>> = graph
             .node_inputs(v)
             .iter()
             .map(|edge| match edge {
@@ -281,131 +453,10 @@ pub fn infer_in_order<E: Executor + ?Sized>(
                     .expect("topological order runs producers first"),
             })
             .collect();
-        // Between-node reset: RAM to boot state (bit-identical to the
-        // historical reset-per-layer path); counters keep accumulating —
-        // reports use deltas.
-        m.ram.clear();
-        let before = m.snapshot();
-        let out = executor.exec_node(m, layer, ctx.staged[v], &inputs)?;
-        let exec = m.summarize_since(&before);
-        layers.push(LayerReport {
-            name: plan.name.clone(),
-            plan,
-            exec,
-        });
+        let out = run.node(|m| exec_node(m, kernels, layer, staged[v], &inputs))?;
         acts[v] = Some(out);
     }
-    let output = acts[n - 1]
+    Ok(acts[n - 1]
         .take()
-        .expect("the last node is the graph output");
-    Ok(InferenceReport { output, layers })
-}
-
-/// A policy's execution half: runs deployed graphs and single layers
-/// against pre-staged weights, with **zero planning work** — every plan
-/// artifact it needs was memoized at deploy time and arrives via
-/// [`ExecCtx`].
-pub trait Executor: std::fmt::Debug + Send + Sync {
-    /// Executor display name (matches the policy's planner name).
-    fn name(&self) -> &'static str;
-
-    /// Builds every plan artifact this executor will consume at
-    /// inference time — called **once**, at deploy. The default memoizes
-    /// only the whole-graph [`MemoryPlan`](vmcu_plan::MemoryPlan);
-    /// policies with extra artifacts (fusion plan, patch plan, chain
-    /// plan) override it and add theirs.
-    fn prepare(
-        &self,
-        planner: &dyn vmcu_plan::MemoryPlanner,
-        graph: &Graph,
-        device: &Device,
-    ) -> PlanSet {
-        PlanSet {
-            memory: vmcu_plan::plan_graph(planner, graph, device),
-            fusion: None,
-            patch: None,
-            chain: None,
-            split: None,
-            order: None,
-        }
-    }
-
-    /// Executes one layer whose weights are staged at `staged`, reading
-    /// the input from the host and returning the output tensor. The
-    /// machine's RAM is caller-cleared; Flash must not be touched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Unsupported`] for layer kinds this policy
-    /// cannot run, and pool/memory errors on internal bugs.
-    fn exec_layer(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        input: &Tensor<i8>,
-    ) -> Result<Tensor<i8>, EngineError>;
-
-    /// Executes one graph node given **all** of its input tensors in
-    /// slot order — the arity-aware generalization of
-    /// [`exec_layer`](Executor::exec_layer). The default delegates
-    /// single-input layers to `exec_layer` and runs merges through the
-    /// shared [`exec_merge`] body with disjoint operands (the
-    /// tensor-level baseline layout); segment-level policies override
-    /// merges to the overlapped layout.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`exec_layer`](Executor::exec_layer).
-    fn exec_node(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        inputs: &[&Tensor<i8>],
-    ) -> Result<Tensor<i8>, EngineError> {
-        match inputs {
-            [single] => self.exec_layer(m, layer, staged, single),
-            _ => exec_merge(m, layer, inputs, MergeMode::Disjoint),
-        }
-    }
-
-    /// Executes the whole deployed graph for one input. The default walks
-    /// the nodes in the deployed execution order (the searched order for
-    /// reorder plans, index order otherwise) — one pool per node,
-    /// activations held host-side until their last consumer — consuming
-    /// the memoized per-step plan entries; graph-aware policies (fusion,
-    /// patching) override it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-node failure.
-    fn infer(
-        &self,
-        ctx: &ExecCtx<'_>,
-        m: &mut Machine,
-        input: &Tensor<i8>,
-    ) -> Result<InferenceReport, EngineError> {
-        infer_in_order(self, ctx, m, input)
-    }
-
-    /// Executes the deployed graph chained through one circular pool
-    /// (§4's multi-layer deployment model). Only the vMCU policy
-    /// supports it; the default is a typed error.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Unsupported`] unless the policy overrides it.
-    fn infer_chained(
-        &self,
-        ctx: &ExecCtx<'_>,
-        m: &mut Machine,
-        input: &Tensor<i8>,
-    ) -> Result<(InferenceReport, ChainPlan), EngineError> {
-        let _ = (ctx, m, input);
-        Err(EngineError::Unsupported {
-            kind: "chained graph",
-            executor: self.name(),
-        })
-    }
+        .expect("the last node is the graph output"))
 }

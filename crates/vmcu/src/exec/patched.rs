@@ -1,131 +1,32 @@
-//! The patched executor: the high-resolution spatial front stage runs
+//! The patched schedule: the high-resolution spatial front stage runs
 //! tile by tile (only a tile's receptive-field slab is resident, halo
 //! recompute charged honestly), the tail reuses the fusion-node runner.
 
 use super::fused::run_fusion_nodes;
-use super::vmcu::exec_layer_vmcu;
-use super::{exec_merge, infer_in_order, ExecCtx, Executor, MergeMode, StagedLayer};
-use crate::engine::{InferenceReport, LayerReport};
+use super::{Kernels, Run, StagedLayer};
 use crate::error::EngineError;
-use vmcu_graph::LayerDesc;
+use vmcu_graph::Graph;
 use vmcu_kernels::patched::run_patched_front;
-use vmcu_kernels::IbScheme;
-use vmcu_sim::Machine;
+use vmcu_plan::PatchPlan;
 use vmcu_tensor::Tensor;
 
-/// Patch-based front-stage execution (fused tail).
-#[derive(Debug, Clone, Copy)]
-pub struct PatchedExecutor {
-    /// Workspace scheme for fused inverted-bottleneck singletons in the
-    /// tail.
-    pub scheme: IbScheme,
-}
-
-impl Executor for PatchedExecutor {
-    fn name(&self) -> &'static str {
-        "vMCU-patched"
-    }
-
-    fn prepare(
-        &self,
-        planner: &dyn vmcu_plan::MemoryPlanner,
-        graph: &vmcu_graph::Graph,
-        device: &vmcu_sim::Device,
-    ) -> crate::deploy::PlanSet {
-        // Patch grids tile a straight spatial front; on a branchy DAG
-        // there is no patchable prefix, so the executor drops the patch
-        // plan and walks the graph node by node instead.
-        if !graph.is_chain() {
-            return crate::deploy::PlanSet {
-                memory: vmcu_plan::plan_graph(planner, graph, device),
-                fusion: None,
-                patch: None,
-                chain: None,
-                split: None,
-                order: None,
-            };
-        }
-        // One grid search serves both the memoized execution plan and
-        // the memory plan it is priced by.
-        let patch_planner = vmcu_plan::PatchedPlanner {
-            scheme: self.scheme,
-            ..vmcu_plan::PatchedPlanner::default()
-        };
-        let pplan = patch_planner.patch_plan(graph);
-        let memory = patch_planner.plan_model_from(&pplan, graph, device);
-        crate::deploy::PlanSet {
-            memory,
-            fusion: None,
-            patch: Some(pplan),
-            chain: None,
-            split: None,
-            order: None,
-        }
-    }
-
-    fn exec_layer(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        input: &Tensor<i8>,
-    ) -> Result<Tensor<i8>, EngineError> {
-        exec_layer_vmcu(m, layer, staged, input, self.scheme)
-    }
-
-    fn exec_node(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        inputs: &[&Tensor<i8>],
-    ) -> Result<Tensor<i8>, EngineError> {
-        match inputs {
-            [single] => self.exec_layer(m, layer, staged, single),
-            _ => exec_merge(m, layer, inputs, MergeMode::Overlap),
-        }
-    }
-
-    fn infer(
-        &self,
-        ctx: &ExecCtx<'_>,
-        m: &mut Machine,
-        input: &Tensor<i8>,
-    ) -> Result<InferenceReport, EngineError> {
-        // DAG deployments carry no patch plan: walk node by node.
-        let Some(pplan) = ctx.plans.patch.as_ref() else {
-            return infer_in_order(self, ctx, m, input);
-        };
-        let mut layers = Vec::with_capacity(pplan.tail.nodes.len() + 1);
-        let mut cur = input.clone();
-        let mut plan_offset = 0;
-        if let Some(front) = &pplan.front {
-            // The memoized plan's first entry is the patched front.
-            let plan = ctx.node_plan(0)?;
-            plan_offset = 1;
-            m.ram.clear();
-            let before = m.snapshot();
-            let flash = ctx.staged[..pplan.front_len]
-                .iter()
-                .map(|s| s.single("vMCU-patched"))
-                .collect::<Result<Vec<_>, _>>()?;
-            cur = run_patched_front(m, front, &cur, &flash)?;
-            let exec = m.summarize_since(&before);
-            layers.push(LayerReport {
-                name: plan.name.clone(),
-                plan,
-                exec,
-            });
-        }
-        let output = run_fusion_nodes(
-            self.scheme,
-            ctx,
-            m,
-            &pplan.tail.nodes,
-            plan_offset,
-            &cur,
-            &mut layers,
-        )?;
-        Ok(InferenceReport { output, layers })
-    }
+/// Runs a patch plan: the patched front (the plan's first row, when the
+/// graph has a patchable prefix), then the fused tail.
+pub(crate) fn run_patched(
+    run: &mut Run<'_>,
+    kernels: Kernels,
+    graph: &Graph,
+    staged: &[StagedLayer],
+    plan: &PatchPlan,
+    input: &Tensor<i8>,
+) -> Result<Tensor<i8>, EngineError> {
+    let Some(front) = &plan.front else {
+        return run_fusion_nodes(run, kernels, graph, staged, &plan.tail.nodes, input);
+    };
+    let flash = staged[..plan.front_len]
+        .iter()
+        .map(|s| s.single("vMCU-patched"))
+        .collect::<Result<Vec<_>, _>>()?;
+    let front_out = run.node(|m| Ok(run_patched_front(m, front, input, &flash)?))?;
+    run_fusion_nodes(run, kernels, graph, staged, &plan.tail.nodes, &front_out)
 }

@@ -1,166 +1,56 @@
-//! The split executor: a pipelined multi-device schedule. Each stage of
-//! the memoized `SplitPlan` runs its fused sub-plan on its own device
-//! (the shared fusion-node runner, so stage execution is bit-identical
-//! to the single-device fused path), then the boundary activation
-//! streams to the next stage over a board-to-board link priced by the
-//! deterministic [`LinkModel`] — one `link` report per cut edge, charged
-//! exactly once, matching the deploy-time plan entry byte for byte.
+//! The split schedule: a pipelined multi-device run. Each stage of the
+//! memoized `SplitPlan` runs its fused sub-plan on its own device (the
+//! shared fusion-node runner, so stage execution is bit-identical to the
+//! single-device fused path), then the boundary activation streams to
+//! the next stage over a board-to-board link priced by the deterministic
+//! [`LinkModel`] — one `link` report per cut edge, charged exactly once,
+//! matching the deploy-time plan entry byte for byte.
 //!
-//! The simulation runs the pipeline on one [`Machine`]: the between-node
-//! RAM reset inside the fusion-node runner bounds instantaneous
-//! residency to a single stage's window (each physical device holds only
-//! its own stage), and the host-side tensor hand-off between stages *is*
-//! the modeled network hop. Aggregate counters therefore read as
-//! whole-pipeline work; per-stage peaks are validated per device by the
-//! deploy fit check.
+//! The simulation runs the pipeline on one [`Machine`](vmcu_sim::Machine):
+//! the between-node RAM reset bounds instantaneous residency to a single
+//! stage's window (each physical device holds only its own stage), and
+//! the host-side tensor hand-off between stages *is* the modeled network
+//! hop. Aggregate counters therefore read as whole-pipeline work;
+//! per-stage peaks are validated per device by the deploy fit check.
 
 use super::fused::run_fusion_nodes;
-use super::vmcu::exec_layer_vmcu;
-use super::{exec_merge, infer_in_order, ExecCtx, Executor, MergeMode, StagedLayer};
-use crate::engine::{InferenceReport, LayerReport};
+use super::{Kernels, Run, StagedLayer};
 use crate::error::EngineError;
-use vmcu_graph::LayerDesc;
-use vmcu_kernels::IbScheme;
-use vmcu_sim::{Counters, ExecSummary, LinkModel, Machine};
+use vmcu_plan::SplitPlan;
+use vmcu_sim::{Counters, ExecSummary, LinkModel};
 use vmcu_tensor::Tensor;
 
-/// Pipelined split execution across networked devices.
-#[derive(Debug, Clone, Copy)]
-pub struct SplitExecutor {
-    /// Maximum number of networked devices to cut across (2–8; clamped
-    /// by the partitioner).
-    pub devices: u8,
-    /// Workspace scheme for fused inverted-bottleneck singletons inside
-    /// each stage.
-    pub scheme: IbScheme,
-    /// The link every cut-tensor transfer is priced by.
-    pub link: LinkModel,
-}
-
-impl Executor for SplitExecutor {
-    fn name(&self) -> &'static str {
-        "vMCU-split"
-    }
-
-    fn prepare(
-        &self,
-        planner: &dyn vmcu_plan::MemoryPlanner,
-        graph: &vmcu_graph::Graph,
-        device: &vmcu_sim::Device,
-    ) -> crate::deploy::PlanSet {
-        // Layer-wise cuts partition a chain; on a branchy DAG the
-        // partitioner degrades to one whole-graph stage, so the executor
-        // drops the split plan and walks the graph on a single device.
-        if !graph.is_chain() {
-            return crate::deploy::PlanSet {
-                memory: vmcu_plan::plan_graph(planner, graph, device),
-                fusion: None,
-                patch: None,
-                chain: None,
-                split: None,
-                order: None,
-            };
-        }
-        // One partitioning pass serves both the memoized execution plan
-        // (stage sub-graphs + per-stage fusion plans) and the memory
-        // plan it is priced by — stage nodes and link entries in
-        // execution order.
-        let planner = vmcu_plan::SplitPlanner {
-            devices: self.devices,
-            scheme: self.scheme,
-        };
-        let split = vmcu_plan::plan_split(graph, self.devices, self.scheme);
-        let memory = planner.plan_model_from(&split, device);
-        crate::deploy::PlanSet {
-            memory,
-            fusion: None,
-            patch: None,
-            chain: None,
-            split: Some(split),
-            order: None,
+/// Runs every stage of `plan` against its memoized sub-graph (stage-local
+/// node indices), reporting each cut-edge transfer between stages.
+pub(crate) fn run_split(
+    run: &mut Run<'_>,
+    kernels: Kernels,
+    staged: &[StagedLayer],
+    plan: &SplitPlan,
+    input: &Tensor<i8>,
+) -> Result<Tensor<i8>, EngineError> {
+    let link = LinkModel::default();
+    let mut cur = input.clone();
+    for stage in plan.stages() {
+        let stage_staged = &staged[stage.start..stage.end];
+        cur = run_fusion_nodes(
+            run,
+            kernels,
+            &stage.graph,
+            stage_staged,
+            &stage.fusion.nodes,
+            &cur,
+        )?;
+        if stage.cut_bytes > 0 {
+            // Simulated link time and energy are integer-derived, so
+            // bit-reproducible across hosts; no machine counters move.
+            let bytes = stage.cut_bytes as u64;
+            run.record(ExecSummary {
+                counters: Counters::default(),
+                latency_ms: link.transfer_ms(bytes),
+                energy_mj: link.transfer_energy_mj(bytes),
+            });
         }
     }
-
-    fn exec_layer(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        input: &Tensor<i8>,
-    ) -> Result<Tensor<i8>, EngineError> {
-        exec_layer_vmcu(m, layer, staged, input, self.scheme)
-    }
-
-    fn exec_node(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        inputs: &[&Tensor<i8>],
-    ) -> Result<Tensor<i8>, EngineError> {
-        match inputs {
-            [single] => self.exec_layer(m, layer, staged, single),
-            _ => exec_merge(m, layer, inputs, MergeMode::Overlap),
-        }
-    }
-
-    fn infer(
-        &self,
-        ctx: &ExecCtx<'_>,
-        m: &mut Machine,
-        input: &Tensor<i8>,
-    ) -> Result<InferenceReport, EngineError> {
-        // DAG deployments carry no partition (it degrades to one stage):
-        // walk the whole graph on a single device.
-        let Some(split) = ctx.plans.split.as_ref() else {
-            return infer_in_order(self, ctx, m, input);
-        };
-        let mut layers = Vec::with_capacity(ctx.plans.memory.layers.len());
-        let mut cur = input.clone();
-        let mut node = 0;
-        for stage in split.stages() {
-            // The stage executes against its memoized sub-graph with
-            // stage-local node indices; the memory-plan offset walks the
-            // interleaved (stage nodes, link, stage nodes, …) entries.
-            let stage_ctx = ExecCtx {
-                device: ctx.device,
-                graph: &stage.graph,
-                plans: ctx.plans,
-                staged: &ctx.staged[stage.start..stage.end],
-            };
-            cur = run_fusion_nodes(
-                self.scheme,
-                &stage_ctx,
-                m,
-                &stage.fusion.nodes,
-                node,
-                &cur,
-                &mut layers,
-            )?;
-            node += stage.fusion.nodes.len();
-            if stage.cut_bytes > 0 {
-                // The cut-edge transfer: priced exactly once, from the
-                // same LinkModel the plan documents, with no machine
-                // counters touched — simulated link time and energy are
-                // integer-derived, so bit-reproducible across hosts.
-                let plan = ctx.node_plan(node)?;
-                node += 1;
-                let bytes = stage.cut_bytes as u64;
-                let exec = ExecSummary {
-                    counters: Counters::default(),
-                    latency_ms: self.link.transfer_ms(bytes),
-                    energy_mj: self.link.transfer_energy_mj(bytes),
-                };
-                layers.push(LayerReport {
-                    name: plan.name.clone(),
-                    plan,
-                    exec,
-                });
-            }
-        }
-        Ok(InferenceReport {
-            output: cur,
-            layers,
-        })
-    }
+    Ok(cur)
 }

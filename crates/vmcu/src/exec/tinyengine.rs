@@ -1,7 +1,8 @@
-//! The TinyEngine executor: tensor-level baseline kernels (in-place
-//! depthwise, im2col staging) — the paper's strongest baseline.
+//! TinyEngine's tensor-level baseline kernels (in-place depthwise,
+//! im2col staging) — the paper's strongest baseline, and the kernels
+//! HMCOS schedules run (HMCOS contributes no kernels of its own, §7).
 
-use super::{exec_merge, Executor, MergeMode, StagedLayer};
+use super::StagedLayer;
 use crate::error::EngineError;
 use vmcu_graph::LayerDesc;
 use vmcu_kernels::tinyengine::{
@@ -11,23 +12,19 @@ use vmcu_kernels::PointwiseParams;
 use vmcu_sim::Machine;
 use vmcu_tensor::Tensor;
 
-/// Tensor-level baseline execution.
-#[derive(Debug, Clone, Copy)]
-pub struct TinyEngineExecutor;
+/// Names the kernels in typed errors.
+const EXECUTOR: &str = "TinyEngine";
 
-/// Shared baseline layer body — also the HMCOS executor's body (HMCOS is
-/// a scheduling policy and contributes no kernels of its own, §7).
-/// `executor` names the policy in typed errors.
-pub(crate) fn exec_layer_baseline(
+/// Single-layer baseline execution, for TinyEngine and HMCOS alike.
+pub(crate) fn exec_layer(
     m: &mut Machine,
     layer: &LayerDesc,
     staged: StagedLayer,
     input: &Tensor<i8>,
-    executor: &'static str,
 ) -> Result<Tensor<i8>, EngineError> {
     match layer {
         LayerDesc::Pointwise(p) => {
-            let w_base = staged.single(executor)?;
+            let w_base = staged.single(EXECUTOR)?;
             let layout = TePointwiseLayout {
                 input: 0,
                 output: p.in_bytes(),
@@ -49,7 +46,7 @@ pub(crate) fn exec_layer_baseline(
                 rq: p.rq,
                 clamp: p.clamp,
             };
-            let w_base = staged.single(executor)?;
+            let w_base = staged.single(EXECUTOR)?;
             let layout = TePointwiseLayout {
                 input: 0,
                 output: pw.in_bytes(),
@@ -61,7 +58,7 @@ pub(crate) fn exec_layer_baseline(
             Ok(Tensor::from_bytes(&[p.m, p.n], &out))
         }
         LayerDesc::Depthwise(p) => {
-            let w_base = staged.single(executor)?;
+            let w_base = staged.single(EXECUTOR)?;
             m.host_write_ram(0, &input.as_bytes())?;
             run_depthwise_te_inplace(m, p, 0, p.in_bytes(), w_base)?;
             let out = m.host_read_ram(0, p.out_bytes())?;
@@ -71,7 +68,7 @@ pub(crate) fn exec_layer_baseline(
             let StagedLayer::Ib { w1, wdw, w2 } = staged else {
                 return Err(EngineError::Unsupported {
                     kind: layer.kind(),
-                    executor,
+                    executor: EXECUTOR,
                 });
             };
             let (layout, _end) = TeIbLayout::packed(p, 0);
@@ -80,46 +77,12 @@ pub(crate) fn exec_layer_baseline(
             let out = m.host_read_ram(layout.d, p.out_bytes())?;
             Ok(Tensor::from_bytes(&[p.hw2(), p.hw2(), p.c_out], &out))
         }
-        // Merges take two inputs; they run through `Executor::exec_node`,
-        // never the single-input layer body.
+        // Merges take two inputs; they never reach a single-input body.
         LayerDesc::Conv2d(_) | LayerDesc::Add(_) | LayerDesc::Concat(_) => {
             Err(EngineError::Unsupported {
                 kind: layer.kind(),
-                executor,
+                executor: EXECUTOR,
             })
-        }
-    }
-}
-
-impl Executor for TinyEngineExecutor {
-    fn name(&self) -> &'static str {
-        "TinyEngine"
-    }
-
-    fn exec_layer(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        input: &Tensor<i8>,
-    ) -> Result<Tensor<i8>, EngineError> {
-        exec_layer_baseline(m, layer, staged, input, self.name())
-    }
-
-    /// TinyEngine adds in place (one operand slot doubles as the output —
-    /// the overlapped layout at distance 0) but materializes concat
-    /// outputs disjoint from both operands.
-    fn exec_node(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        inputs: &[&Tensor<i8>],
-    ) -> Result<Tensor<i8>, EngineError> {
-        match (layer, inputs) {
-            (_, [single]) => self.exec_layer(m, layer, staged, single),
-            (LayerDesc::Add(_), _) => exec_merge(m, layer, inputs, MergeMode::Overlap),
-            _ => exec_merge(m, layer, inputs, MergeMode::Disjoint),
         }
     }
 }

@@ -1,80 +1,43 @@
-//! The vMCU executor: segment-level kernels, one circular pool per
-//! layer — plus the §4 whole-network chained mode.
+//! vMCU's segment-level kernels: one circular pool per layer, sized to
+//! the layer's executable `bIn − bOut` distance — plus the §4
+//! whole-network chained mode, where every layer shares one pool.
 
-use super::{exec_merge, ExecCtx, Executor, MergeMode, StagedLayer};
+use super::StagedLayer;
 use crate::engine::{InferenceReport, LayerReport};
 use crate::error::EngineError;
-use vmcu_graph::LayerDesc;
-use vmcu_kernels::conv2d::{conv2d_exec_distance, run_conv2d};
-use vmcu_kernels::depthwise::{depthwise_exec_distance, run_depthwise};
-use vmcu_kernels::fc::{fc_exec_distance, run_fc};
-use vmcu_kernels::fused_ib::{ib_exec_distance, run_fused_ib, IbFlash};
-use vmcu_kernels::pointwise::{pointwise_exec_distance, run_pointwise};
+use vmcu_graph::{Graph, LayerDesc};
+use vmcu_kernels::conv2d::run_conv2d;
+use vmcu_kernels::depthwise::run_depthwise;
+use vmcu_kernels::fc::run_fc;
+use vmcu_kernels::fused_ib::{run_fused_ib, IbFlash};
+use vmcu_kernels::pointwise::run_pointwise;
 use vmcu_kernels::IbScheme;
 use vmcu_plan::{ChainPlan, LayerPlan};
 use vmcu_pool::SegmentPool;
-use vmcu_sim::Machine;
+use vmcu_sim::{Device, Machine};
 use vmcu_tensor::Tensor;
 
-/// Segment-level execution (the paper's policy): every layer runs in a
-/// circular pool sized to its executable `bIn − bOut` distance.
-#[derive(Debug, Clone, Copy)]
-pub struct VmcuExecutor {
-    /// Workspace scheme for fused inverted bottlenecks.
-    pub scheme: IbScheme,
-}
-
-/// Shared single-layer vMCU body — also the singleton path of the fused
-/// and patched executors, so all three policies run identical kernels on
-/// identical pools.
-pub(crate) fn exec_layer_vmcu(
+/// Runs one single-input layer's segment kernel in `pool`, reading its
+/// input at logical `b_in` and writing its output at `b_out`. Fused
+/// inverted bottlenecks put their workspace right after the pool window.
+fn run_layer_in_pool(
     m: &mut Machine,
+    pool: &mut SegmentPool,
     layer: &LayerDesc,
     staged: StagedLayer,
-    input: &Tensor<i8>,
     scheme: IbScheme,
-) -> Result<Tensor<i8>, EngineError> {
+    b_in: i64,
+    b_out: i64,
+) -> Result<(), EngineError> {
     match layer {
         LayerDesc::Pointwise(p) => {
-            let w_base = staged.single("vMCU")?;
-            let d = pointwise_exec_distance(p);
-            let window = (p.in_bytes() + d.max(0) as usize).max(p.out_bytes());
-            let mut pool = SegmentPool::new(m, 0, window, p.seg)?;
-            pool.host_fill_live(m, 0, &input.as_bytes())?;
-            run_pointwise(m, &mut pool, p, 0, -d, w_base, None)?;
-            let out = pool.host_read(m, -d, p.out_bytes())?;
-            Ok(Tensor::from_bytes(&[p.h, p.w, p.k], &out))
+            run_pointwise(m, pool, p, b_in, b_out, staged.single("vMCU")?, None)?;
         }
-        LayerDesc::Conv2d(p) => {
-            let w_base = staged.single("vMCU")?;
-            let d = conv2d_exec_distance(p);
-            let window = (p.in_bytes() + d.max(0) as usize).max(p.out_bytes());
-            let mut pool = SegmentPool::new(m, 0, window, p.seg)?;
-            pool.host_fill_live(m, 0, &input.as_bytes())?;
-            run_conv2d(m, &mut pool, p, 0, -d, w_base, None)?;
-            let out = pool.host_read(m, -d, p.out_bytes())?;
-            Ok(Tensor::from_bytes(&[p.out_h(), p.out_w(), p.k], &out))
-        }
+        LayerDesc::Conv2d(p) => run_conv2d(m, pool, p, b_in, b_out, staged.single("vMCU")?, None)?,
         LayerDesc::Depthwise(p) => {
-            let w_base = staged.single("vMCU")?;
-            let d = depthwise_exec_distance(p);
-            let window = (p.in_bytes() + d.max(0) as usize).max(p.out_bytes());
-            let mut pool = SegmentPool::new(m, 0, window, p.c)?;
-            pool.host_fill_live(m, 0, &input.as_bytes())?;
-            run_depthwise(m, &mut pool, p, 0, -d, w_base, None)?;
-            let out = pool.host_read(m, -d, p.out_bytes())?;
-            Ok(Tensor::from_bytes(&[p.out_h(), p.out_w(), p.c], &out))
+            run_depthwise(m, pool, p, b_in, b_out, staged.single("vMCU")?, None)?;
         }
-        LayerDesc::Dense(p) => {
-            let w_base = staged.single("vMCU")?;
-            let d = fc_exec_distance(p);
-            let window = (p.in_bytes() + d.max(0) as usize).max(p.out_bytes());
-            let mut pool = SegmentPool::new(m, 0, window, p.seg)?;
-            pool.host_fill_live(m, 0, &input.as_bytes())?;
-            run_fc(m, &mut pool, p, 0, -d, w_base, None)?;
-            let out = pool.host_read(m, -d, p.out_bytes())?;
-            Ok(Tensor::from_bytes(&[p.m, p.n], &out))
-        }
+        LayerDesc::Dense(p) => run_fc(m, pool, p, b_in, b_out, staged.single("vMCU")?, None)?,
         LayerDesc::Ib(p) => {
             let StagedLayer::Ib { w1, wdw, w2 } = staged else {
                 return Err(EngineError::Unsupported {
@@ -82,166 +45,104 @@ pub(crate) fn exec_layer_vmcu(
                     executor: "vMCU",
                 });
             };
-            let flash = IbFlash { w1, wdw, w2 };
-            let d = ib_exec_distance(p, scheme);
-            let window = (p.in_bytes() + d.max(0) as usize).max(p.out_bytes());
-            let mut pool = SegmentPool::new(m, 0, window, p.seg())?;
-            pool.host_fill_live(m, 0, &input.as_bytes())?;
-            run_fused_ib(m, &mut pool, p, scheme, 0, -d, &flash, window)?;
-            let out = pool.host_read(m, -d, p.out_bytes())?;
-            Ok(Tensor::from_bytes(&[p.hw2(), p.hw2(), p.c_out], &out))
+            let (flash, ws_base) = (IbFlash { w1, wdw, w2 }, pool.window_len());
+            run_fused_ib(m, pool, p, scheme, b_in, b_out, &flash, ws_base)?;
         }
-        // Merges take two inputs; they run through `Executor::exec_node`,
-        // never the single-input layer body.
-        LayerDesc::Add(_) | LayerDesc::Concat(_) => Err(EngineError::Unsupported {
-            kind: layer.kind(),
-            executor: "vMCU",
-        }),
+        // Merges take two inputs; they never reach a single-input body.
+        LayerDesc::Add(_) | LayerDesc::Concat(_) => {
+            return Err(EngineError::Unsupported {
+                kind: layer.kind(),
+                executor: "vMCU",
+            })
+        }
     }
+    Ok(())
 }
 
-impl Executor for VmcuExecutor {
-    fn name(&self) -> &'static str {
-        "vMCU"
-    }
-
-    fn prepare(
-        &self,
-        planner: &dyn vmcu_plan::MemoryPlanner,
-        graph: &vmcu_graph::Graph,
-        device: &vmcu_sim::Device,
-    ) -> crate::deploy::PlanSet {
-        crate::deploy::PlanSet {
-            memory: vmcu_plan::plan_graph(planner, graph, device),
-            fusion: None,
-            patch: None,
-            // The §4 chain deployment model threads one circular window
-            // through consecutive layers — only defined on chains.
-            chain: graph
-                .is_chain()
-                .then(|| vmcu_plan::plan_chain(graph, self.scheme)),
-            split: None,
-            order: None,
-        }
-    }
-
-    fn exec_layer(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        input: &Tensor<i8>,
-    ) -> Result<Tensor<i8>, EngineError> {
-        exec_layer_vmcu(m, layer, staged, input, self.scheme)
-    }
-
-    fn exec_node(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        inputs: &[&Tensor<i8>],
-    ) -> Result<Tensor<i8>, EngineError> {
-        match inputs {
-            [single] => self.exec_layer(m, layer, staged, single),
-            _ => exec_merge(m, layer, inputs, MergeMode::Overlap),
-        }
-    }
-
-    /// Chained whole-network execution: each layer's input pointer is the
-    /// previous layer's output pointer, the whole network flows through
-    /// one circular pool window of `max(per-layer span)` bytes (§4's
-    /// multi-layer deployment model). Chain graphs only — branchy DAGs
-    /// report a typed [`EngineError::Unsupported`].
-    fn infer_chained(
-        &self,
-        ctx: &ExecCtx<'_>,
-        m: &mut Machine,
-        input: &Tensor<i8>,
-    ) -> Result<(InferenceReport, ChainPlan), EngineError> {
-        let Some(plan) = ctx.plans.chain.clone() else {
+/// Single-layer segment execution — the body every vMCU-family schedule
+/// runs single nodes with, so all of them run identical kernels on
+/// identical pools.
+pub(crate) fn exec_layer(
+    m: &mut Machine,
+    layer: &LayerDesc,
+    staged: StagedLayer,
+    input: &Tensor<i8>,
+    scheme: IbScheme,
+) -> Result<Tensor<i8>, EngineError> {
+    let seg = match layer {
+        LayerDesc::Pointwise(p) => p.seg,
+        LayerDesc::Conv2d(p) => p.seg,
+        LayerDesc::Depthwise(p) => p.c,
+        LayerDesc::Dense(p) => p.seg,
+        LayerDesc::Ib(p) => p.seg(),
+        LayerDesc::Add(_) | LayerDesc::Concat(_) => {
             return Err(EngineError::Unsupported {
-                kind: "chained DAG",
-                executor: self.name(),
-            });
-        };
-        let graph = ctx.graph;
-        let needed = plan.total_bytes() + ctx.device.runtime_overhead_bytes;
-        if needed > ctx.device.ram_bytes {
-            return Err(EngineError::DoesNotFit {
-                layer: format!("chained {}", graph.name),
-                needed,
-                available: ctx.device.ram_bytes,
-            });
+                kind: layer.kind(),
+                executor: "vMCU",
+            })
         }
-        let seg = match graph.layers().first() {
-            Some(LayerDesc::Ib(p)) => p.seg(),
-            Some(LayerDesc::Pointwise(p)) => p.seg,
-            Some(LayerDesc::Dense(p)) => p.seg,
-            _ => 1,
-        };
-        let mut pool = SegmentPool::new(m, 0, plan.window, seg.max(1))?;
-        let ws_base = plan.window;
-        pool.host_fill_live(m, plan.bases[0], &input.as_bytes())?;
-        let mut layers = Vec::with_capacity(graph.len());
-        for (i, layer) in graph.layers().iter().enumerate() {
-            let name = format!("{}#{i}", layer.kind());
-            let before = m.snapshot();
-            let (b_in, b_out) = (plan.bases[i], plan.bases[i + 1]);
-            match layer {
-                LayerDesc::Pointwise(p) => {
-                    let w_base = ctx.staged[i].single("vMCU")?;
-                    run_pointwise(m, &mut pool, p, b_in, b_out, w_base, None)?;
-                }
-                LayerDesc::Conv2d(p) => {
-                    let w_base = ctx.staged[i].single("vMCU")?;
-                    run_conv2d(m, &mut pool, p, b_in, b_out, w_base, None)?;
-                }
-                LayerDesc::Depthwise(p) => {
-                    let w_base = ctx.staged[i].single("vMCU")?;
-                    run_depthwise(m, &mut pool, p, b_in, b_out, w_base, None)?;
-                }
-                LayerDesc::Dense(p) => {
-                    let w_base = ctx.staged[i].single("vMCU")?;
-                    run_fc(m, &mut pool, p, b_in, b_out, w_base, None)?;
-                }
-                LayerDesc::Ib(p) => {
-                    let StagedLayer::Ib { w1, wdw, w2 } = ctx.staged[i] else {
-                        return Err(EngineError::Unsupported {
-                            kind: layer.kind(),
-                            executor: "vMCU",
-                        });
-                    };
-                    let flash = IbFlash { w1, wdw, w2 };
-                    run_fused_ib(m, &mut pool, p, self.scheme, b_in, b_out, &flash, ws_base)?;
-                }
-                // Unreachable behind the chain gate (merges take two
-                // inputs), kept total for the type system.
-                LayerDesc::Add(_) | LayerDesc::Concat(_) => {
-                    return Err(EngineError::Unsupported {
-                        kind: layer.kind(),
-                        executor: self.name(),
-                    })
-                }
-            }
-            let exec = m.summarize_since(&before);
-            layers.push(LayerReport {
-                name,
-                plan: LayerPlan {
-                    name: format!("{}#{i}", layer.kind()),
-                    kind: layer.kind(),
-                    activation_bytes: plan.window,
-                    workspace_bytes: plan.workspace,
-                    measured_bytes: needed,
-                    fits: true,
-                },
-                exec,
-            });
-        }
-        let out_bytes = graph.layers().last().expect("non-empty graph").out_bytes();
-        let out_base = *plan.bases.last().expect("bases non-empty");
-        let out = pool.host_read(m, out_base, out_bytes)?;
-        let output = Tensor::from_bytes(&graph.out_shape(), &out);
-        Ok((InferenceReport { output, layers }, plan))
+    };
+    let (d, _) = vmcu_plan::chain::layer_distance(layer, scheme);
+    let window = (layer.in_bytes() + d.max(0) as usize).max(layer.out_bytes());
+    let mut pool = SegmentPool::new(m, 0, window, seg)?;
+    pool.host_fill_live(m, 0, &input.as_bytes())?;
+    run_layer_in_pool(m, &mut pool, layer, staged, scheme, 0, -d)?;
+    let out = pool.host_read(m, -d, layer.out_bytes())?;
+    Ok(Tensor::from_bytes(&layer.out_shape(), &out))
+}
+
+/// Chained whole-network execution: each layer's input pointer is the
+/// previous layer's output pointer, and the whole network flows through
+/// one circular pool window of `max(per-layer span)` bytes (§4's
+/// multi-layer deployment model).
+pub(crate) fn infer_chained(
+    m: &mut Machine,
+    device: &Device,
+    graph: &Graph,
+    staged: &[StagedLayer],
+    plan: &ChainPlan,
+    scheme: IbScheme,
+    input: &Tensor<i8>,
+) -> Result<InferenceReport, EngineError> {
+    let needed = plan.total_bytes() + device.runtime_overhead_bytes;
+    if needed > device.ram_bytes {
+        return Err(EngineError::DoesNotFit {
+            layer: format!("chained {}", graph.name),
+            needed,
+            available: device.ram_bytes,
+        });
     }
+    let seg = match graph.layers().first() {
+        Some(LayerDesc::Ib(p)) => p.seg(),
+        Some(LayerDesc::Pointwise(p)) => p.seg,
+        Some(LayerDesc::Dense(p)) => p.seg,
+        _ => 1,
+    };
+    let mut pool = SegmentPool::new(m, 0, plan.window, seg.max(1))?;
+    pool.host_fill_live(m, plan.bases[0], &input.as_bytes())?;
+    let mut layers = Vec::with_capacity(graph.len());
+    for (i, layer) in graph.layers().iter().enumerate() {
+        let before = m.snapshot();
+        let (b_in, b_out) = (plan.bases[i], plan.bases[i + 1]);
+        run_layer_in_pool(m, &mut pool, layer, staged[i], scheme, b_in, b_out)?;
+        let exec = m.summarize_since(&before);
+        let name = format!("{}#{i}", layer.kind());
+        layers.push(LayerReport {
+            name: name.clone(),
+            plan: LayerPlan {
+                name,
+                kind: layer.kind(),
+                activation_bytes: plan.window,
+                workspace_bytes: plan.workspace,
+                measured_bytes: needed,
+                fits: true,
+            },
+            exec,
+        });
+    }
+    let out_bytes = graph.layers().last().expect("non-empty graph").out_bytes();
+    let out_base = *plan.bases.last().expect("bases non-empty");
+    let out = pool.host_read(m, out_base, out_bytes)?;
+    let output = Tensor::from_bytes(&graph.out_shape(), &out);
+    Ok(InferenceReport { output, layers })
 }

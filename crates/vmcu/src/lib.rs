@@ -55,13 +55,10 @@ pub mod engine;
 pub mod error;
 pub mod exec;
 
-pub use deploy::{Deployment, PlanSet, Session};
+pub use deploy::{Deployment, Session};
 pub use engine::{Engine, InferenceReport, LayerReport, PlannerKind};
 pub use error::EngineError;
-pub use exec::{ExecCtx, Executor, StagedLayer};
-
-#[allow(deprecated)]
-pub use engine::InferenceScratch;
+pub use exec::Schedule;
 
 // Re-export the workspace crates under their natural names.
 pub use vmcu_codegen;
@@ -79,7 +76,6 @@ pub mod prelude {
     pub use crate::deploy::{Deployment, Session};
     pub use crate::engine::{Engine, InferenceReport, LayerReport, PlannerKind};
     pub use crate::error::EngineError;
-    pub use crate::exec::Executor;
     pub use vmcu_graph::{Graph, LayerDesc, LayerWeights};
     pub use vmcu_kernels::{IbParams, IbScheme, PointwiseParams};
     pub use vmcu_plan::{

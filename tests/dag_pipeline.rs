@@ -10,6 +10,7 @@ use vmcu::prelude::*;
 use vmcu::vmcu_graph::{exec, zoo};
 use vmcu::vmcu_plan::telemetry;
 use vmcu::vmcu_tensor::random;
+use vmcu::Schedule;
 
 fn infer_under(
     kind: PlannerKind,
@@ -91,7 +92,12 @@ fn branchy_oom_net_deploys_only_under_the_reorder_policy() {
         .deploy(&g, &weights)
         .unwrap();
     // The memoized order retires one branch before starting the other.
-    let order = deployment.order_plan().expect("reorder memoizes its order");
+    let Schedule::Nodes {
+        order: Some(order), ..
+    } = deployment.schedule()
+    else {
+        panic!("reorder memoizes its order");
+    };
     assert!(order.improved(), "the search must beat the default order");
     assert_ne!(order.order, vec![0, 1, 2, 3, 4]);
     let report = deployment.session().infer(&input).unwrap();
@@ -139,7 +145,10 @@ fn chained_execution_rejects_dags_with_a_typed_error() {
         .deploy(&g, &weights)
         .unwrap();
     // The single-window chain plan is absent on a DAG deployment …
-    assert!(deployment.chain_plan().is_none());
+    assert!(matches!(
+        deployment.schedule(),
+        Schedule::Nodes { chain: None, .. }
+    ));
     // … and the chained entry point refuses rather than mis-executing.
     let err = deployment
         .session()
@@ -169,7 +178,7 @@ fn chain_only_policies_drop_their_plans_and_fall_back_on_dags() {
         .planner(PlannerKind::VmcuFused(IbScheme::RowBuffer))
         .deploy(&g, &weights)
         .unwrap();
-    assert!(fused.fusion_plan().is_none());
+    assert!(matches!(fused.schedule(), Schedule::Nodes { .. }));
     assert_eq!(&fused.session().infer(&input).unwrap().output, expected);
 
     // Patched: no patchable spatial prefix on a branchy DAG.
@@ -177,7 +186,7 @@ fn chain_only_policies_drop_their_plans_and_fall_back_on_dags() {
         .planner(PlannerKind::VmcuPatched(IbScheme::RowBuffer))
         .deploy(&g, &weights)
         .unwrap();
-    assert!(patched.patch_plan().is_none());
+    assert!(matches!(patched.schedule(), Schedule::Nodes { .. }));
     assert_eq!(&patched.session().infer(&input).unwrap().output, expected);
 
     // Split: the layer-wise partitioner degrades to one stage, so the
@@ -189,6 +198,6 @@ fn chain_only_policies_drop_their_plans_and_fall_back_on_dags() {
         })
         .deploy(&g, &weights)
         .unwrap();
-    assert!(split.split_plan().is_none());
+    assert!(matches!(split.schedule(), Schedule::Nodes { .. }));
     assert_eq!(&split.session().infer(&input).unwrap().output, expected);
 }

@@ -1,9 +1,9 @@
 //! The deploy-once/run-many contract, end to end: `Engine::deploy` →
-//! `Deployment::session` → `Session::infer` must be bit-exact with the
-//! legacy `run_graph*` entry points for every policy, repeatable call
-//! after call (outputs AND execution counters), and must perform zero
-//! planning work after deploy — asserted via the `vmcu_plan::telemetry`
-//! plan-call counter.
+//! `Deployment::session` → `Session::infer` must be repeatable call
+//! after call for every policy (outputs AND execution counters), must
+//! perform zero planning work after deploy — asserted via the
+//! `vmcu_plan::telemetry` plan-call counter — and must reject malformed
+//! input with typed errors.
 
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::zoo;
@@ -51,45 +51,6 @@ fn matrix() -> Vec<(Graph, Device, Vec<PlannerKind>)> {
             vec![PlannerKind::VmcuPatched(IbScheme::RowBuffer)],
         ),
     ]
-}
-
-#[test]
-#[allow(deprecated)]
-fn deploy_once_infer_many_is_bit_exact_with_the_legacy_paths() {
-    for (g, device, kinds) in matrix() {
-        let weights = g.random_weights(0xDEB);
-        let input = random::tensor_i8(&g.in_shape(), 0x1417);
-        for kind in kinds {
-            let engine = Engine::new(device.clone()).planner(kind);
-            let legacy = engine
-                .run_graph(&g, &weights, &input)
-                .unwrap_or_else(|e| panic!("{}/{kind:?} legacy: {e}", g.name));
-            let mut session = engine
-                .deploy(&g, &weights)
-                .unwrap_or_else(|e| panic!("{}/{kind:?} deploy: {e}", g.name))
-                .session();
-            let new = session.infer(&input).unwrap();
-            assert_eq!(legacy.output, new.output, "{}/{kind:?} output", g.name);
-            assert_eq!(
-                legacy.layers.len(),
-                new.layers.len(),
-                "{}/{kind:?} node count",
-                g.name
-            );
-            for (old, fresh) in legacy.layers.iter().zip(&new.layers) {
-                assert_eq!(old.name, fresh.name, "{}/{kind:?} node name", g.name);
-                assert_eq!(old.plan, fresh.plan, "{}/{kind:?} node plan", g.name);
-                assert_eq!(
-                    old.exec.counters, fresh.exec.counters,
-                    "{}/{kind:?}/{} exec counters",
-                    g.name, old.name
-                );
-            }
-            assert_eq!(legacy.latency_ms(), new.latency_ms());
-            assert_eq!(legacy.energy_mj(), new.energy_mj());
-            assert_eq!(legacy.peak_ram_bytes(), new.peak_ram_bytes());
-        }
-    }
 }
 
 #[test]
@@ -157,23 +118,22 @@ fn session_infer_performs_zero_planning_after_deploy() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn chained_session_matches_the_legacy_chained_path() {
+fn chained_session_repeats_exactly() {
     let g = zoo::demo_linear_net();
     let weights = g.random_weights(0xC4A1);
     let input = random::tensor_i8(&g.in_shape(), 0xC4A2);
-    let engine = Engine::new(Device::stm32_f411re());
-    let (legacy, legacy_plan) = engine.run_graph_chained(&g, &weights, &input).unwrap();
-    let deployment = engine.deploy(&g, &weights).unwrap();
-    let mut session = deployment.session();
-    let (new, plan) = session.infer_chained(&input).unwrap();
-    assert_eq!(legacy.output, new.output);
-    assert_eq!(legacy_plan, plan);
-    assert_eq!(legacy.latency_ms(), new.latency_ms());
-    // And a second chained inference repeats exactly.
-    let (again, _) = session.infer_chained(&input).unwrap();
-    assert_eq!(new.output, again.output);
-    assert_eq!(new.latency_ms(), again.latency_ms());
+    let mut session = Engine::new(Device::stm32_f411re())
+        .deploy(&g, &weights)
+        .unwrap()
+        .session();
+    let (first, plan) = session.infer_chained(&input).unwrap();
+    let (again, again_plan) = session.infer_chained(&input).unwrap();
+    assert_eq!(first.output, again.output);
+    assert_eq!(plan, again_plan);
+    assert_eq!(first.latency_ms(), again.latency_ms());
+    for (a, b) in first.layers.iter().zip(&again.layers) {
+        assert_eq!(a.exec.counters, b.exec.counters);
+    }
 }
 
 #[test]
@@ -228,6 +188,30 @@ fn deploy_rejects_what_the_planner_rejects() {
                 assert_eq!(na, nb, "{kind:?}");
             }
             other => panic!("{kind:?}: expected DoesNotFit twice, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn deploy_with_the_wrong_number_of_weights_is_a_typed_error() {
+    let g = zoo::demo_linear_net();
+    let mut weights = g.random_weights(3);
+    weights.pop();
+    for engine in [
+        Engine::new(Device::stm32_f411re()),
+        Engine::new(Device::stm32_f411re()).planner(PlannerKind::VmcuFused(IbScheme::RowBuffer)),
+    ] {
+        for result in [
+            engine.deploy(&g, &weights),
+            engine.deploy_unchecked(&g, &weights),
+        ] {
+            match result {
+                Err(EngineError::WeightsMismatch { layers, weights: w }) => {
+                    assert_eq!(layers, g.len());
+                    assert_eq!(w, g.len() - 1);
+                }
+                other => panic!("expected WeightsMismatch, got {other:?}"),
+            }
         }
     }
 }

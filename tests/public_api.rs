@@ -17,7 +17,6 @@ const PRELUDE_SNAPSHOT: &[&str] = &[
     "crate::engine::LayerReport",
     "crate::engine::PlannerKind",
     "crate::error::EngineError",
-    "crate::exec::Executor",
     "vmcu_graph::Graph",
     "vmcu_graph::LayerDesc",
     "vmcu_graph::LayerWeights",
@@ -116,17 +115,16 @@ fn prelude_surface_matches_the_committed_snapshot() {
 
 #[test]
 fn inference_scratch_is_no_longer_in_the_prelude() {
-    // Satellite contract: `InferenceScratch` left the prelude (it remains
-    // a deprecated crate-root re-export for one release).
-    let body = prelude_body(&facade_lib_rs());
-    assert!(
-        !body.contains("InferenceScratch"),
-        "InferenceScratch must stay out of the prelude"
-    );
+    // `InferenceScratch` was removed: neither the prelude nor the crate
+    // root re-exports it.
     let source = facade_lib_rs();
     assert!(
-        source.contains("pub use engine::InferenceScratch"),
-        "the deprecated crate-root re-export must survive one release"
+        !prelude_body(&source).contains("InferenceScratch"),
+        "InferenceScratch must stay out of the prelude"
+    );
+    assert!(
+        !source.contains("InferenceScratch"),
+        "the crate-root re-export of InferenceScratch must stay removed"
     );
 }
 

@@ -11,7 +11,7 @@ use vmcu::prelude::*;
 use vmcu::vmcu_graph::{exec, zoo};
 use vmcu::vmcu_sim::LinkModel;
 use vmcu::vmcu_tensor::random;
-use vmcu::EngineError;
+use vmcu::{EngineError, Schedule};
 use vmcu_serve::{
     ArrivalProfile, Fleet, FleetConfig, ModelCatalog, OnlineConfig, Outcome, RequestSpec,
 };
@@ -66,9 +66,9 @@ fn split_deploys_the_oom_model_and_matches_the_reference_bit_for_bit() {
             .planner(split_kind(devices))
             .deploy(&g, &weights)
             .unwrap_or_else(|e| panic!("{devices}-way split must deploy: {e}"));
-        let split = dep
-            .split_plan()
-            .expect("split deployments memoize the partition");
+        let Schedule::Split(split) = dep.schedule() else {
+            panic!("split deployments memoize the partition");
+        };
         assert!(
             split.device_count() >= 2,
             "{devices}-way: the model must actually be cut (got {} stage)",
@@ -98,7 +98,9 @@ fn every_cut_edge_is_priced_exactly_once_and_plan_equals_execution() {
         .planner(split_kind(4))
         .deploy(&g, &weights)
         .expect("split deploys");
-    let split = dep.split_plan().unwrap().clone();
+    let Schedule::Split(split) = dep.schedule().clone() else {
+        panic!("split deployments memoize the partition");
+    };
     let report = dep.session().infer(&input).expect("split inference");
 
     // Execution emits exactly the memoized plan: one report per plan
